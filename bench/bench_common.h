@@ -21,9 +21,8 @@ namespace snap {
 class Rack {
  public:
   Rack(uint64_t seed, int num_hosts, const SimHostOptions& options,
-       EventQueueKind queue_kind = kDefaultEventQueueKind,
        const NicParams& nic_params = NicParams{})
-      : sim_(seed, queue_kind), fabric_(&sim_, nic_params) {
+      : sim_(seed), fabric_(&sim_, nic_params) {
     for (int i = 0; i < num_hosts; ++i) {
       hosts_.push_back(std::make_unique<SimHost>(&sim_, &fabric_,
                                                  &directory_, options));

@@ -146,17 +146,10 @@ void BM_PacketPoolRecycleWithPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPoolRecycleWithPayload)->Arg(64)->Arg(1984)->Arg(4936);
 
-// The next three run against both event-queue implementations: arg 0 is
-// the timer wheel, arg 1 the legacy binary heap.
-EventQueueKind KindArg(const benchmark::State& state) {
-  return state.range(0) == 0 ? EventQueueKind::kTimerWheel
-                             : EventQueueKind::kLegacyHeap;
-}
-
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   // Steady-state schedule+fire with a populated queue (the simulation hot
   // loop shape: each fired event schedules a successor).
-  Simulator sim(1, KindArg(state));
+  Simulator sim(1);
   int64_t fired = 0;
   for (int i = 0; i < 512; ++i) {
     sim.Schedule(1 + i, [] {});
@@ -169,11 +162,11 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueScheduleFire)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueScheduleFire);
 
 void BM_EventQueueCancelChurn(benchmark::State& state) {
   // Schedule-then-cancel, the RTO-timer pattern: most timers never fire.
-  Simulator sim(1, KindArg(state));
+  Simulator sim(1);
   for (auto _ : state) {
     EventHandle h = sim.Schedule(1000 * kUsec, [] {});
     h.Cancel();
@@ -181,13 +174,13 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueCancelChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueCancelChurn);
 
 void BM_TimerWheelCascade(benchmark::State& state) {
-  // Far-horizon timers that cascade through far wheel -> near wheel (or
-  // sift through the heap) before firing: the worst case for the wheel.
+  // Far-horizon timers that cascade through far wheel -> near wheel
+  // before firing: the worst case for the wheel.
   const SimDuration horizon = 2 * kMsec;  // far-wheel range, forces cascade
-  Simulator sim(1, KindArg(state));
+  Simulator sim(1);
   for (auto _ : state) {
     state.PauseTiming();
     int fired = 0;
@@ -200,7 +193,7 @@ void BM_TimerWheelCascade(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_TimerWheelCascade)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimerWheelCascade);
 
 }  // namespace
 }  // namespace snap

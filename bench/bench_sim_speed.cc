@@ -1,10 +1,11 @@
-// Wall-clock speed of the simulation hot path, A/B-ing the hierarchical
-// timer wheel against the legacy binary-heap event queue on:
+// Wall-clock speed of the simulation hot path (the timer-wheel event
+// queue plus everything it drives) on:
 //   - a micro event-churn loop (pure queue cost),
 //   - a schedule-then-cancel loop (the RTO-timer pattern),
 //   - the Fig. 6(b) all-to-all RPC rack workload (the real thing).
 // Reports events/sec, ns/event, allocs/event (via a counting operator
-// new) and packets/sec, plus the wheel-vs-heap speedup.
+// new) and packets/sec. The comparison point is the pre-timer-wheel
+// baseline recorded in BENCH_sim_speed.json.
 //
 // Usage:
 //   bench_sim_speed [--smoke] [--json PATH] [--only CASE]
@@ -35,26 +36,41 @@
 #include "bench/sharded_rack.h"
 
 // ---------------------------------------------------------------------------
-// Allocation counting: every global new/delete in this binary bumps a
-// counter, so each measurement can report allocs/event. The counter's
-// overhead applies equally to both queue implementations.
+// Allocation counting: every global new in this binary bumps a counter,
+// so each measurement can report allocs/event. Every non-aligned form is
+// replaced, nothrow included, so each allocation is released by the
+// matching deallocation (the aligned forms keep the library's pair).
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<int64_t> g_alloc_count{0};
+
+void* CountedMalloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
+  if (void* p = CountedMalloc(size)) {
     return p;
   }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace snap {
 namespace {
@@ -100,8 +116,8 @@ class Timed {
 
 // Pure queue throughput: a self-rescheduling event population, the shape
 // of the simulation main loop (every pop schedules a successor).
-Measurement MeasureEventChurn(EventQueueKind kind, int64_t total_events) {
-  Simulator sim(1, kind);
+Measurement MeasureEventChurn(int64_t total_events) {
+  Simulator sim(1);
   const int kPopulation = 512;
   int64_t remaining = total_events;
   struct Ticker {
@@ -128,8 +144,8 @@ Measurement MeasureEventChurn(EventQueueKind kind, int64_t total_events) {
 
 // Schedule-then-cancel: most timers (RTO, interrupt moderation) never
 // fire; the queue must absorb and reap them cheaply.
-Measurement MeasureCancelChurn(EventQueueKind kind, int64_t total_events) {
-  Simulator sim(1, kind);
+Measurement MeasureCancelChurn(int64_t total_events) {
+  Simulator sim(1);
   Timed timed;
   for (int64_t i = 0; i < total_events; ++i) {
     EventHandle h = sim.Schedule(1000 * kUsec, [] {});
@@ -155,24 +171,19 @@ Measurement MeasureCancelChurn(EventQueueKind kind, int64_t total_events) {
 // way.
 constexpr int kRackTrials = 3;
 
-RpcRackConfig RackConfig(EventQueueKind kind) {
+RpcRackConfig RackConfig() {
   RpcRackConfig config;
   config.hosts = 6;
   config.jobs_per_host = 3;
   config.offered_gbps_per_host = 20.0;
-  config.queue_kind = kind;
-  // The legacy-heap leg is the faithful pre-PR configuration: binary-heap
-  // queue AND per-packet fabric delivery (batching did not exist yet).
-  config.nic_params.batched_delivery = (kind == EventQueueKind::kTimerWheel);
   config.host_options.group.mode = SchedulingMode::kSpreadingEngines;
   config.host_options.group.dedicated_cores = {0, 1};
   config.host_options.cpu.num_cores = 10;
   return config;
 }
 
-Measurement MeasureRack(EventQueueKind kind, SimDuration warmup,
-                        SimDuration window) {
-  RpcRackConfig config = RackConfig(kind);
+Measurement MeasureRack(SimDuration warmup, SimDuration window) {
+  RpcRackConfig config = RackConfig();
   Measurement best;
   for (int trial = 0; trial < kRackTrials; ++trial) {
     Timed timed;
@@ -189,12 +200,11 @@ Measurement MeasureRack(EventQueueKind kind, SimDuration warmup,
   return best;
 }
 
-void PrintMeasurement(const char* name, const char* kind,
-                      const Measurement& m) {
+void PrintMeasurement(const char* name, const Measurement& m) {
   std::printf(
-      "  %-18s %-11s %10.3fs wall  %9.2fM events  %8.2fM ev/s  %7.1f "
+      "  %-18s %10.3fs wall  %9.2fM events  %8.2fM ev/s  %7.1f "
       "ns/ev  %6.3f allocs/ev",
-      name, kind, m.wall_sec, static_cast<double>(m.events) / 1e6,
+      name, m.wall_sec, static_cast<double>(m.events) / 1e6,
       m.events_per_sec() / 1e6, m.ns_per_event(), m.allocs_per_event());
   if (m.packets > 0) {
     std::printf("  %8.2fM pkt/s", m.packets_per_sec() / 1e6);
@@ -202,19 +212,21 @@ void PrintMeasurement(const char* name, const char* kind,
   std::printf("\n");
 }
 
-void JsonMeasurement(FILE* f, const char* kind, const Measurement& m,
-                     bool last) {
+// Written under the key "timer_wheel" so the BENCH_sim_speed.json history
+// (which also recorded a since-deleted heap leg) stays comparable.
+void JsonMeasurement(FILE* f, const Measurement& m) {
   std::fprintf(f,
-               "      \"%s\": {\"wall_sec\": %.6f, \"events\": %lld, "
-               "\"events_per_sec\": %.1f, \"ns_per_event\": %.3f, "
-               "\"allocs\": %lld, \"allocs_per_event\": %.4f, "
+               "      \"timer_wheel\": {\"wall_sec\": %.6f, "
+               "\"events\": %lld, \"events_per_sec\": %.1f, "
+               "\"ns_per_event\": %.3f, \"allocs\": %lld, "
+               "\"allocs_per_event\": %.4f, "
                "\"packets\": %lld, \"packets_per_sec\": %.1f, "
-               "\"sim_sec\": %.6f}%s\n",
-               kind, m.wall_sec, static_cast<long long>(m.events),
+               "\"sim_sec\": %.6f}\n",
+               m.wall_sec, static_cast<long long>(m.events),
                m.events_per_sec(), m.ns_per_event(),
                static_cast<long long>(m.allocs), m.allocs_per_event(),
                static_cast<long long>(m.packets), m.packets_per_sec(),
-               m.sim_sec, last ? "" : ",");
+               m.sim_sec);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +270,7 @@ struct ScalingPoint {
 // per-pair lookahead matrix lets cluster-disjoint shard pairs run
 // inter-cluster-latency-long epochs.
 RpcRackConfig ScalingRackConfig(int hosts) {
-  RpcRackConfig config = RackConfig(EventQueueKind::kTimerWheel);
+  RpcRackConfig config = RackConfig();
   config.hosts = hosts;
   // Big racks run one background job per host: the sweep scales the
   // fabric and host count, not the per-host app mix.
@@ -351,8 +363,7 @@ int Main(int argc, char** argv) {
 
   struct Case {
     const char* name;
-    Measurement wheel;
-    Measurement heap;
+    Measurement m;
   };
   Case cases[3];
 
@@ -365,40 +376,24 @@ int Main(int argc, char** argv) {
   // thermally throttled core that the baseline never saw.
   cases[0].name = "rack_fig6b";
   if (want(cases[0].name)) {
-    cases[0].wheel = MeasureRack(EventQueueKind::kTimerWheel, rack_warmup,
-                                 rack_window);
-    cases[0].heap = MeasureRack(EventQueueKind::kLegacyHeap, rack_warmup,
-                                rack_window);
+    cases[0].m = MeasureRack(rack_warmup, rack_window);
   }
   cases[1].name = "event_churn";
   if (want(cases[1].name)) {
-    cases[1].wheel = MeasureEventChurn(EventQueueKind::kTimerWheel,
-                                       churn_events);
-    cases[1].heap = MeasureEventChurn(EventQueueKind::kLegacyHeap,
-                                      churn_events);
+    cases[1].m = MeasureEventChurn(churn_events);
   }
   cases[2].name = "cancel_churn";
   if (want(cases[2].name)) {
-    cases[2].wheel = MeasureCancelChurn(EventQueueKind::kTimerWheel,
-                                        cancel_events);
-    cases[2].heap = MeasureCancelChurn(EventQueueKind::kLegacyHeap,
-                                       cancel_events);
+    cases[2].m = MeasureCancelChurn(cancel_events);
   }
 
   for (const Case& c : cases) {
-    if (c.wheel.events == 0 && c.heap.events == 0) {
+    if (c.m.events == 0) {
       continue;  // skipped by --only
     }
-    PrintMeasurement(c.name, "timer_wheel", c.wheel);
-    PrintMeasurement(c.name, "legacy_heap", c.heap);
-    const double speedup =
-        c.heap.events_per_sec() > 0
-            ? c.wheel.events_per_sec() / c.heap.events_per_sec()
-            : 0;
-    std::printf("  %-18s speedup (events/sec, wheel vs heap): %.2fx\n",
-                c.name, speedup);
+    PrintMeasurement(c.name, c.m);
   }
-  const Measurement& rack = cases[0].wheel;
+  const Measurement& rack = cases[0].m;
   if (rack.wall_sec > 0) {
     std::printf("  rack sim-time/wall-time: %.1fx (%.3f sim-sec in %.3f s)\n",
                 rack.sim_sec / rack.wall_sec, rack.sim_sec, rack.wall_sec);
@@ -559,7 +554,7 @@ int Main(int argc, char** argv) {
   // and prints the telemetry dashboard for the same run.
   if (!trace_path.empty()) {
     TraceRecorder tracer;
-    RpcRackConfig config = RackConfig(EventQueueKind::kTimerWheel);
+    RpcRackConfig config = RackConfig();
     config.tracer = &tracer;
     RpcRackResult result = RunPonyRpcRack(config, rack_warmup, rack_window);
     if (!tracer.WriteJson(trace_path)) {
@@ -604,14 +599,8 @@ int Main(int argc, char** argv) {
     for (size_t i = 0; i < 3; ++i) {
       const Case& c = cases[i];
       std::fprintf(f, "    \"%s\": {\n", c.name);
-      JsonMeasurement(f, "timer_wheel", c.wheel, false);
-      JsonMeasurement(f, "legacy_heap", c.heap, false);
-      const double speedup =
-          c.heap.events_per_sec() > 0
-              ? c.wheel.events_per_sec() / c.heap.events_per_sec()
-              : 0;
-      std::fprintf(f, "      \"speedup_events_per_sec\": %.4f\n    }%s\n",
-                   speedup, i + 1 < 3 ? "," : "");
+      JsonMeasurement(f, c.m);
+      std::fprintf(f, "    }%s\n", i + 1 < 3 ? "," : "");
     }
     if (!scaling.empty()) {
       std::fprintf(f, "    ,\"rack_scaling\": {\n      \"points\": [\n");

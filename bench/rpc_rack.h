@@ -27,9 +27,6 @@ struct RpcRackConfig {
   int cluster_hosts = 0;
   uint64_t seed = 7;
   SimHostOptions host_options;
-  // Simulator internals under test (bench_sim_speed A/Bs these; results
-  // are identical either way).
-  EventQueueKind queue_kind = kDefaultEventQueueKind;
   NicParams nic_params;
   // Optional flight recorder attached to the rack's simulator
   // (bench_sim_speed --trace). Tracing never changes results, only
@@ -55,7 +52,7 @@ struct RpcRackResult {
 inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
                                     SimDuration warmup, SimDuration window) {
   Rack rack(config.seed, config.hosts, config.host_options,
-            config.queue_kind, config.nic_params);
+            config.nic_params);
   if (config.tracer != nullptr) {
     rack.sim().set_tracer(config.tracer);
   }
@@ -187,7 +184,7 @@ inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
 inline RpcRackResult RunTcpRpcRack(const RpcRackConfig& config,
                                    SimDuration warmup, SimDuration window) {
   Rack rack(config.seed, config.hosts, config.host_options,
-            config.queue_kind, config.nic_params);
+            config.nic_params);
   double per_job_rate =
       config.offered_gbps_per_host * 1e9 /
       (8.0 * static_cast<double>(config.response_bytes) *

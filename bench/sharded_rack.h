@@ -20,6 +20,10 @@
 
 namespace snap {
 
+// Exists only so snapbench compiles; goes in the next benchmark change.
+struct SnapbenchCompatTag {};
+inline constexpr SnapbenchCompatTag kDefaultEventQueueKind{};
+
 // A rack of identical SimHosts spread across a sharded fabric. Host ids
 // stay global (the group pads every other shard's host table), so the
 // workload wiring is identical to the serial Rack's no matter where each
@@ -30,14 +34,12 @@ class ShardedRack {
  public:
   ShardedRack(uint64_t seed, int num_hosts, const SimHostOptions& options,
               int num_shards, int num_threads,
-              EventQueueKind queue_kind = kDefaultEventQueueKind,
               const NicParams& nic_params = NicParams{},
               const Placement* placement = nullptr)
       : sharded_([&] {
           ShardedSim::Options o;
           o.num_shards = num_shards;
           o.seed = seed;
-          o.queue_kind = queue_kind;
           o.lookahead = nic_params.propagation_delay;
           o.num_threads = num_threads;
           return o;
@@ -54,6 +56,12 @@ class ShardedRack {
           sharded_.sim(shard), group_.fabric(shard), &directory_, options));
     }
   }
+  ShardedRack(uint64_t seed, int num_hosts, const SimHostOptions& options,
+              int num_shards, int num_threads, SnapbenchCompatTag,
+              const NicParams& nic_params,
+              const Placement* placement = nullptr)
+      : ShardedRack(seed, num_hosts, options, num_shards, num_threads,
+                    nic_params, placement) {}
 
   ShardedSim& sharded() { return sharded_; }
   ShardedFabricGroup& group() { return group_; }
@@ -148,8 +156,7 @@ inline ShardedRackResult RunPonyRpcRackSharded(const RpcRackConfig& config,
                                                std::string* merged_trace_json =
                                                    nullptr) {
   ShardedRack rack(config.seed, config.hosts, config.host_options,
-                   num_shards, num_threads, config.queue_kind,
-                   config.nic_params, placement);
+                   num_shards, num_threads, config.nic_params, placement);
   if (merged_trace_json != nullptr) {
     rack.sharded().EnableTracing();
   }

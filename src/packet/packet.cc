@@ -14,8 +14,27 @@ struct FreeBlock {
 
 constexpr int kMaxFreeBlocks = 4096;
 
+// Trivially destructible, so the allocation fast path pays no TLS guard.
 thread_local FreeBlock* t_free_list = nullptr;
 thread_local int t_free_count = 0;
+
+// Returns the list's blocks to ::operator delete when the thread exits.
+// Armed on the first push into an empty list, so it costs nothing on the
+// fast path. After it runs the list reads as full, so a packet freed by a
+// later thread_local destructor bypasses it.
+struct FreeListReaper {
+  bool armed = false;
+  ~FreeListReaper() {
+    while (t_free_list != nullptr) {
+      FreeBlock* block = t_free_list;
+      t_free_list = block->next;
+      ::operator delete(block);
+    }
+    t_free_count = kMaxFreeBlocks;
+  }
+};
+
+thread_local FreeListReaper t_free_list_reaper;
 
 // Payload-buffer cache: cleared vectors that keep their heap capacity.
 // Bounded both in count and per-buffer capacity so a rare jumbo payload
@@ -64,6 +83,9 @@ void Packet::operator delete(void* p) noexcept {
     return;
   }
   if (t_free_count < kMaxFreeBlocks) {
+    if (t_free_list == nullptr) {
+      t_free_list_reaper.armed = true;
+    }
     auto* block = static_cast<FreeBlock*>(p);
     block->next = t_free_list;
     t_free_list = block;

@@ -6,17 +6,7 @@
 
 namespace snap {
 
-const char* EventQueueKindName(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kTimerWheel:
-      return "timer_wheel";
-    case EventQueueKind::kLegacyHeap:
-      return "legacy_heap";
-  }
-  return "unknown";
-}
-
-int TimerWheelEventQueue::FindNearBit(int from) const {
+int EventQueue::FindNearBit(int from) const {
   if (from >= kNearSlots) {
     return -1;
   }
@@ -37,7 +27,7 @@ int TimerWheelEventQueue::FindNearBit(int from) const {
 // far cell, or 0 if the far wheel is empty. Within the valid window every
 // populated cell maps to exactly one block (blocks in (cur_block_,
 // cur_block_ + kFarSlots] hit distinct cells), so cell order == block order.
-int TimerWheelEventQueue::FarScanDistance() const {
+int EventQueue::FarScanDistance() const {
   const int start = static_cast<int>((cur_block_ + 1) & (kFarSlots - 1));
   for (int d = 0; d < kFarSlots; ++d) {
     const int cell = (start + d) & (kFarSlots - 1);
@@ -52,7 +42,7 @@ int TimerWheelEventQueue::FarScanDistance() const {
 // to the earlier of (first populated far cell, overflow heap top), cascade
 // that far cell into the near wheel, and pull any overflow records whose
 // block has come into range.
-void TimerWheelEventQueue::AdvanceBlock() {
+void EventQueue::AdvanceBlock() {
   ++stats_.block_jumps;
 
   const int far_dist = FarScanDistance();
@@ -108,7 +98,7 @@ void TimerWheelEventQueue::AdvanceBlock() {
 // Advance to the next populated near slot (rebasing blocks as needed) and
 // move its live records, sorted by (when, seq), into the ready buffer.
 // Preconditions: ready_ is empty and at least one live record exists.
-void TimerWheelEventQueue::AdvanceAndHarvest() {
+void EventQueue::AdvanceAndHarvest() {
   while (true) {
     const int s = FindNearBit(next_slot_);
     if (s < 0) {
@@ -142,7 +132,7 @@ void TimerWheelEventQueue::AdvanceAndHarvest() {
 
 void EventQueue::ExportStats(Telemetry* telemetry,
                              const std::string& prefix) const {
-  const EventQueueStats& s = stats();
+  const EventQueueStats& s = stats_;
   auto set = [&](const char* name, int64_t v) {
     telemetry->SetCounter(prefix + "/" + name, v);
   };

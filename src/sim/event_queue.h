@@ -1,36 +1,24 @@
 // Discrete-event queue: time-ordered callbacks with stable FIFO ordering
 // for equal timestamps and O(1) cancellation via generation-checked handles.
 //
-// Two interchangeable implementations sit behind the EventQueue facade:
+// The queue is a hierarchical timer wheel. Events live in slab-allocated,
+// generation-counted records; a near wheel of 256 x 64ns slots covers the
+// current ~16us block, a far wheel of 256 block-sized slots covers the
+// next ~4.2ms, and genuinely distant events (RTOs, app timers) overflow
+// into a small binary heap that cascades back through the wheels as
+// simulated time advances. Scheduling and popping are O(1) amortized and
+// allocation-free for callbacks whose captures fit EventCallback's inline
+// buffer.
 //
-//  - TimerWheelEventQueue (default): a hierarchical timer wheel. Events
-//    live in slab-allocated, generation-counted records; a near wheel of
-//    256 x 64ns slots covers the current ~16us block, a far wheel of 256
-//    block-sized slots covers the next ~4.2ms, and genuinely distant
-//    events (RTOs, app timers) overflow into a small binary heap that
-//    cascades back through the wheels as simulated time advances.
-//    Scheduling and popping are O(1) amortized and allocation-free for
-//    callbacks whose captures fit EventCallback's inline buffer.
-//
-//  - LegacyHeapEventQueue: the pre-timer-wheel binary heap (a per-event
-//    shared_ptr<bool> liveness flag, a heap-allocated callback box, and
-//    O(log n) sift costs). Kept for one release behind the
-//    SNAP_EVENTQ_HEAP CMake option as a determinism cross-check and as
-//    the baseline for bench/bench_sim_speed; the old implementation's
-//    const_cast move out of std::priority_queue::top() (UB) is gone --
-//    this version uses push_heap/pop_heap on a plain vector.
-//
-// Both implementations execute events in the identical total order
-// (time, then schedule sequence), so a simulation produces bit-identical
-// results regardless of which queue backs it; tests/determinism_test.cc
-// enforces this over the chaos seed sweep.
+// Events execute in (time, schedule sequence) order, so a simulation is
+// bit-identical run to run; tests/sim_test.cc checks the fire order
+// against that spec directly.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -43,26 +31,7 @@
 namespace snap {
 
 class Telemetry;
-class TimerWheelEventQueue;
-
-// Which implementation backs an EventQueue. The compile-time default is
-// the timer wheel; configuring with -DSNAP_EVENTQ_HEAP=ON flips the
-// default back to the legacy heap (tests and benches can always pick
-// either at runtime).
-enum class EventQueueKind {
-  kTimerWheel,
-  kLegacyHeap,
-};
-
-#ifdef SNAP_EVENTQ_HEAP
-inline constexpr EventQueueKind kDefaultEventQueueKind =
-    EventQueueKind::kLegacyHeap;
-#else
-inline constexpr EventQueueKind kDefaultEventQueueKind =
-    EventQueueKind::kTimerWheel;
-#endif
-
-const char* EventQueueKindName(EventQueueKind kind);
+class EventQueue;
 
 // --------------------------------------------------------------------------
 // EventCallback: a move-only type-erased void() callable with inline
@@ -176,10 +145,9 @@ class EventCallback {
 
 // --------------------------------------------------------------------------
 // EventHandle: cancellable reference to a scheduled event. Copyable; cheap.
-// For the timer wheel it is a (queue, slot, generation) triple -- stale
-// handles (the slot was reused after the event fired) are detected by the
-// generation check. For the legacy heap it holds the per-event liveness
-// flag. Handles must not outlive the EventQueue they came from (every
+// It is a (queue, slot, generation) triple -- stale handles (the slot was
+// reused after the event fired) are detected by the generation check.
+// Handles must not outlive the EventQueue they came from (every
 // handle in the tree is owned by an object whose lifetime is nested
 // inside its Simulator's).
 // --------------------------------------------------------------------------
@@ -194,31 +162,23 @@ class EventHandle {
 
  private:
   friend class EventQueue;
-  friend class TimerWheelEventQueue;
-  friend class LegacyHeapEventQueue;
 
-  explicit EventHandle(std::shared_ptr<bool> alive)
-      : alive_(std::move(alive)) {}
-  EventHandle(TimerWheelEventQueue* wheel, uint32_t index, uint32_t gen)
-      : wheel_(wheel), index_(index), gen_(gen) {}
+  EventHandle(EventQueue* queue, uint32_t index, uint32_t gen)
+      : queue_(queue), index_(index), gen_(gen) {}
 
-  std::shared_ptr<bool> alive_;          // legacy heap
-  TimerWheelEventQueue* wheel_ = nullptr;  // timer wheel
+  EventQueue* queue_ = nullptr;
   uint32_t index_ = 0;
   uint32_t gen_ = 0;
 };
 
-// Hot-path instrumentation shared by both implementations (the legacy
-// heap fills only the first block of fields). Exported into snap_stats
-// via EventQueue::ExportStats.
+// Hot-path instrumentation, exported into snap_stats via
+// EventQueue::ExportStats.
 struct EventQueueStats {
   int64_t scheduled = 0;
   int64_t fired = 0;
   int64_t cancelled = 0;
   // Callbacks whose captures exceeded EventCallback's inline buffer.
   int64_t callback_heap_allocs = 0;
-
-  // Timer wheel only.
   int64_t near_inserts = 0;      // landed in the current 16us block
   int64_t far_inserts = 0;       // landed within the next ~4.2ms
   int64_t overflow_inserts = 0;  // distant events, parked in the heap
@@ -229,10 +189,12 @@ struct EventQueueStats {
 };
 
 // --------------------------------------------------------------------------
-// TimerWheelEventQueue
+// EventQueue
 // --------------------------------------------------------------------------
-class TimerWheelEventQueue {
+class EventQueue {
  public:
+  using Callback = EventCallback;
+
   // Near wheel: 256 slots of 64ns cover one 16.4us block exactly.
   static constexpr int kGranularityBits = 6;
   static constexpr int kNearBits = 8;
@@ -241,20 +203,22 @@ class TimerWheelEventQueue {
   static constexpr int kFarBits = 8;
   static constexpr int kFarSlots = 1 << kFarBits;
 
-  TimerWheelEventQueue() {
+  EventQueue() {
     near_head_.assign(kNearSlots, kNil);
     far_head_.assign(kFarSlots, kNil);
     // Records are ~100 bytes; growing the slab move-copies every live
     // callback, so start at a size that absorbs typical populations.
     slab_.reserve(4096);
   }
-  TimerWheelEventQueue(const TimerWheelEventQueue&) = delete;
-  TimerWheelEventQueue& operator=(const TimerWheelEventQueue&) = delete;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  // Rvalue-ref on purpose: callbacks are scheduled millions of times per
-  // simulated second, and every by-value hop through the facade is a
-  // type-erased move; this way the only move is into the slab record.
-  EventHandle ScheduleAt(SimTime when, EventCallback&& cb) {
+  // Schedules `cb` to run at absolute time `when`. Events at the same time
+  // fire in scheduling order. Rvalue-ref on purpose: callbacks are
+  // scheduled millions of times per simulated second, and every by-value
+  // hop is a type-erased move; this way the only move is into the slab
+  // record.
+  EventHandle ScheduleAt(SimTime when, Callback&& cb) {
     SNAP_CHECK_GE(when, 0);
     uint32_t idx = AllocRecord();
     Record& r = slab_[idx];
@@ -287,7 +251,7 @@ class TimerWheelEventQueue {
   // Pops the earliest live event WITHOUT running it. Returns false when
   // empty. The caller advances its clock before invoking the callback so
   // that work scheduled from inside the callback sees the correct time.
-  bool PopNext(SimTime* when, EventCallback* cb) {
+  bool PopNext(SimTime* when, Callback* cb) {
     if (!EnsureReady()) {
       return false;
     }
@@ -327,6 +291,10 @@ class TimerWheelEventQueue {
   }
 
   const EventQueueStats& stats() const { return stats_; }
+
+  // Publishes the queue's counters as "<prefix>/scheduled" etc. into the
+  // Telemetry registry (src/stats/telemetry.h). In event_queue.cc.
+  void ExportStats(Telemetry* telemetry, const std::string& prefix) const;
 
  private:
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
@@ -481,150 +449,14 @@ class TimerWheelEventQueue {
   EventQueueStats stats_;
 };
 
-// --------------------------------------------------------------------------
-// LegacyHeapEventQueue (pre-timer-wheel baseline; see file comment)
-// --------------------------------------------------------------------------
-class LegacyHeapEventQueue {
- public:
-  EventHandle ScheduleAt(SimTime when, EventCallback&& cb) {
-    auto alive = std::make_shared<bool>(true);
-    ++stats_.scheduled;
-    if (!cb.is_inline() && cb) {
-      ++stats_.callback_heap_allocs;
-    }
-    heap_.push_back(Event{when, next_seq_++, alive, std::move(cb)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return EventHandle(std::move(alive));
-  }
-
-  bool empty() const {
-    // Matches the wheel's "live events" semantics: a queue holding only
-    // cancelled events is empty (they are reaped on the next query).
-    const_cast<LegacyHeapEventQueue*>(this)->PruneDead();
-    return heap_.empty();
-  }
-  size_t size() const { return heap_.size(); }
-
-  SimTime NextEventTime() {
-    PruneDead();
-    return heap_.empty() ? kSimTimeNever : heap_.front().when;
-  }
-
-  bool PopNext(SimTime* when, EventCallback* cb) {
-    PruneDead();
-    if (heap_.empty()) {
-      return false;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    // Fired events are no longer pending (matches the wheel's generation
-    // semantics; the original heap left the flag true after fire, so a
-    // handle could not distinguish "fired" from "armed").
-    *ev.alive = false;
-    *when = ev.when;
-    *cb = std::move(ev.cb);
-    ++stats_.fired;
-    return true;
-  }
-
-  const EventQueueStats& stats() const { return stats_; }
-
- private:
-  struct Event {
-    SimTime when;
-    uint64_t seq;
-    std::shared_ptr<bool> alive;
-    EventCallback cb;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  void PruneDead() {
-    while (!heap_.empty() && !*heap_.front().alive) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-      ++stats_.cancelled;
-    }
-  }
-
-  std::vector<Event> heap_;
-  uint64_t next_seq_ = 0;
-  EventQueueStats stats_;
-};
-
-// --------------------------------------------------------------------------
-// EventQueue facade: one of the two implementations, picked at
-// construction. Hot calls are a single predictable branch; no virtual
-// dispatch, no allocation.
-// --------------------------------------------------------------------------
-class EventQueue {
- public:
-  using Callback = EventCallback;
-
-  explicit EventQueue(EventQueueKind kind = kDefaultEventQueueKind)
-      : kind_(kind) {}
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-
-  // Schedules `cb` to run at absolute time `when`. Events at the same time
-  // fire in scheduling order. Takes the callback by rvalue reference so
-  // the facade hop costs nothing (see TimerWheelEventQueue::ScheduleAt).
-  EventHandle ScheduleAt(SimTime when, Callback&& cb) {
-    return wheel() ? wheel_.ScheduleAt(when, std::move(cb))
-                   : heap_.ScheduleAt(when, std::move(cb));
-  }
-
-  bool empty() const { return wheel() ? wheel_.empty() : heap_.empty(); }
-  size_t size() const { return wheel() ? wheel_.size() : heap_.size(); }
-
-  // Time of the earliest live event; kSimTimeNever when empty.
-  SimTime NextEventTime() {
-    return wheel() ? wheel_.NextEventTime() : heap_.NextEventTime();
-  }
-
-  // Pops the earliest live event WITHOUT running it. Returns false when
-  // empty.
-  bool PopNext(SimTime* when, Callback* cb) {
-    return wheel() ? wheel_.PopNext(when, cb) : heap_.PopNext(when, cb);
-  }
-
-  EventQueueKind kind() const { return kind_; }
-  const EventQueueStats& stats() const {
-    return wheel() ? wheel_.stats() : heap_.stats();
-  }
-
-  // Publishes the queue's counters as "<prefix>/scheduled" etc. into the
-  // Telemetry registry (src/stats/telemetry.h). In event_queue.cc.
-  void ExportStats(Telemetry* telemetry, const std::string& prefix) const;
-
- private:
-  bool wheel() const { return kind_ == EventQueueKind::kTimerWheel; }
-
-  EventQueueKind kind_;
-  TimerWheelEventQueue wheel_;
-  LegacyHeapEventQueue heap_;
-};
-
 inline void EventHandle::Cancel() {
-  if (alive_ != nullptr) {
-    *alive_ = false;
-  } else if (wheel_ != nullptr) {
-    wheel_->Cancel(index_, gen_);
+  if (queue_ != nullptr) {
+    queue_->Cancel(index_, gen_);
   }
 }
 
 inline bool EventHandle::pending() const {
-  if (alive_ != nullptr) {
-    return *alive_;
-  }
-  return wheel_ != nullptr && wheel_->Pending(index_, gen_);
+  return queue_ != nullptr && queue_->Pending(index_, gen_);
 }
 
 }  // namespace snap

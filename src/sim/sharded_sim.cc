@@ -25,8 +25,7 @@ ShardedSim::ShardedSim(const Options& options) : options_(options) {
   SNAP_CHECK_GT(options_.lookahead, 0);
   sims_.reserve(options_.num_shards);
   for (int i = 0; i < options_.num_shards; ++i) {
-    sims_.push_back(
-        std::make_unique<Simulator>(options_.seed, options_.queue_kind));
+    sims_.push_back(std::make_unique<Simulator>(options_.seed));
   }
   const int n = options_.num_shards;
   pair_lookahead_.assign(static_cast<size_t>(n) * n, options_.lookahead);

@@ -73,7 +73,6 @@ class ShardedSim {
   struct Options {
     int num_shards = 1;
     uint64_t seed = 1;
-    EventQueueKind queue_kind = kDefaultEventQueueKind;
     // Default conservative lookahead, used for every shard pair until
     // set_pair_lookahead overrides it (shard_net.h installs per-pair
     // values derived from the fabric topology). Must be <= the minimum

@@ -21,9 +21,7 @@ namespace snap {
 // path pays nothing for the substrate split.
 class Simulator final : public Substrate {
  public:
-  explicit Simulator(uint64_t seed = 1,
-                     EventQueueKind queue_kind = kDefaultEventQueueKind)
-      : Substrate(seed), events_(queue_kind), rng_(seed) {}
+  explicit Simulator(uint64_t seed = 1) : Substrate(seed), rng_(seed) {}
 
   Rng& rng() { return rng_; }
 

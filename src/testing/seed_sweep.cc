@@ -124,7 +124,7 @@ SweepRunResult SeedSweepRunner::RunOne(uint64_t seed,
   std::optional<ShardedFabricGroup> shard_group;
   TraceRecorder trace_recorder;
   if (!sharded_mode) {
-    serial_sim.emplace(seed, opt.queue_kind);
+    serial_sim.emplace(seed);
     if (opt.enable_trace) {
       serial_sim->set_tracer(&trace_recorder);
     }
@@ -134,7 +134,6 @@ SweepRunResult SeedSweepRunner::RunOne(uint64_t seed,
     ShardedSim::Options shard_options;
     shard_options.num_shards = opt.shards;
     shard_options.seed = seed;
-    shard_options.queue_kind = opt.queue_kind;
     shard_options.lookahead = nic_params.propagation_delay;
     shard_options.num_threads = opt.shard_threads;
     sharded.emplace(shard_options);

@@ -40,10 +40,6 @@ struct SeedSweepOptions {
   SimDuration run_limit = 2 * kSec;
   // Run every (seed, profile) cell twice and require identical traces.
   bool check_replay = true;
-  // Event-queue implementation backing each run's Simulator. Sweeping the
-  // same (seed, profile) grid under both kinds and comparing trace digests
-  // proves the implementations are observably identical.
-  EventQueueKind queue_kind = kDefaultEventQueueKind;
   // Attach a TraceRecorder to every run's Simulator. Tracing is pure
   // observation, so sweeping with this on and off must yield identical
   // trace digests (covered by determinism_test). Sharded runs attach one

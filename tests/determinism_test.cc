@@ -37,9 +37,8 @@ struct RunOutcome {
 };
 
 RunOutcome RunWorkload(uint64_t seed, double drop_probability,
-                       EventQueueKind queue_kind = kDefaultEventQueueKind,
                        TraceRecorder* tracer = nullptr) {
-  Simulator sim(seed, queue_kind);
+  Simulator sim(seed);
   if (tracer != nullptr) {
     sim.set_tracer(tracer);
   }
@@ -95,58 +94,6 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
   RunOutcome a = RunWorkload(1, 0.05);
   RunOutcome b = RunWorkload(2, 0.05);
   EXPECT_FALSE(a == b);
-}
-
-TEST(DeterminismTest, EventQueueImplsProduceIdenticalOutcomes) {
-  // End-to-end outcomes (bytes, packets, retransmits, CPU) must not depend
-  // on which event-queue implementation backs the simulator.
-  EXPECT_TRUE(RunWorkload(1234, 0.0, EventQueueKind::kTimerWheel) ==
-              RunWorkload(1234, 0.0, EventQueueKind::kLegacyHeap));
-  EXPECT_TRUE(RunWorkload(99, 0.03, EventQueueKind::kTimerWheel) ==
-              RunWorkload(99, 0.03, EventQueueKind::kLegacyHeap));
-}
-
-// The hard acceptance gate for the timer-wheel swap: the PR-1 chaos seed
-// sweep (8 seeds x 2 profiles) must produce bit-identical InvariantChecker
-// trace digests whether the simulator runs on the legacy binary heap or
-// the hierarchical timer wheel. The digest covers every received packet's
-// (time, host, flow, seq, type, crc, wire_bytes) in execution order, so
-// any divergence in event ordering anywhere in the run shows up here.
-TEST(DeterminismTest, TimerWheelMatchesHeapDigestsAcrossChaosSweep) {
-  auto sweep = [](EventQueueKind kind) {
-    SeedSweepOptions options;
-    options.num_seeds = 8;
-    options.first_seed = 1;
-    options.check_replay = false;  // replay invariance is covered by PR-1
-    options.queue_kind = kind;
-    SeedSweepRunner runner(options);
-    auto profiles = SeedSweepRunner::DefaultProfiles();
-    // Two contrasting profiles: pure bursty loss, and everything at once.
-    std::vector<ChaosProfile> selected = {profiles.front(), profiles.back()};
-
-    std::vector<std::pair<std::string, uint64_t>> digests;
-    for (const ChaosProfile& profile : selected) {
-      for (int s = 0; s < options.num_seeds; ++s) {
-        SweepRunResult result =
-            runner.RunOne(options.first_seed + s, profile);
-        EXPECT_TRUE(result.ok) << "invariants violated under "
-                               << profile.name << " seed "
-                               << options.first_seed + s;
-        digests.emplace_back(
-            profile.name + "/" + std::to_string(options.first_seed + s),
-            result.trace_digest);
-      }
-    }
-    return digests;
-  };
-
-  auto wheel = sweep(EventQueueKind::kTimerWheel);
-  auto heap = sweep(EventQueueKind::kLegacyHeap);
-  ASSERT_EQ(wheel.size(), heap.size());
-  for (size_t i = 0; i < wheel.size(); ++i) {
-    EXPECT_EQ(wheel[i], heap[i])
-        << "trace digest diverged between event-queue implementations";
-  }
 }
 
 // The hard acceptance gate for the sharded simulator: the chaos seed
@@ -294,10 +241,8 @@ TEST(DeterminismTest, FabricDropParitySerialVsSharded) {
 TEST(DeterminismTest, SameSeedProducesByteIdenticalTrace) {
   TraceRecorder first_trace;
   TraceRecorder second_trace;
-  RunOutcome first =
-      RunWorkload(1234, 0.0, kDefaultEventQueueKind, &first_trace);
-  RunOutcome second =
-      RunWorkload(1234, 0.0, kDefaultEventQueueKind, &second_trace);
+  RunOutcome first = RunWorkload(1234, 0.0, &first_trace);
+  RunOutcome second = RunWorkload(1234, 0.0, &second_trace);
   EXPECT_TRUE(first == second);
   ASSERT_GT(first_trace.size(), 1000u) << "trace suspiciously small";
   EXPECT_EQ(first_trace.size(), second_trace.size());
@@ -306,7 +251,7 @@ TEST(DeterminismTest, SameSeedProducesByteIdenticalTrace) {
 
 TEST(DeterminismTest, TracingDoesNotPerturbOutcomes) {
   TraceRecorder tracer;
-  RunOutcome traced = RunWorkload(99, 0.03, kDefaultEventQueueKind, &tracer);
+  RunOutcome traced = RunWorkload(99, 0.03, &tracer);
   RunOutcome untraced = RunWorkload(99, 0.03);
   EXPECT_TRUE(traced == untraced);
   EXPECT_GT(traced.retransmits, 0);

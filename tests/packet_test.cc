@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/packet/crc32.h"
 #include "src/packet/packet_pool.h"
@@ -295,6 +297,22 @@ TEST(PacketPoolTest, AdoptOwnerThreadTransfersOwnershipAcrossThreads) {
   EXPECT_NE(p, nullptr);
   pool.Free(std::move(p));
   EXPECT_EQ(pool.stats().allocated, 0);
+}
+
+TEST(PacketTest, ExitingThreadReleasesItsFreelist) {
+  // Packet's thread-local freelist keeps recycled blocks per thread. A
+  // thread that exits must hand them back to the allocator, or
+  // LeakSanitizer (ASan builds) reports every block on its list.
+  std::thread worker([] {
+    std::vector<PacketPtr> packets;
+    for (int i = 0; i < 64; ++i) {
+      packets.push_back(std::make_unique<Packet>());
+    }
+    packets.clear();  // all 64 blocks now sit on this thread's list
+    PacketPtr reused = std::make_unique<Packet>();
+    EXPECT_NE(reused, nullptr);
+  });
+  worker.join();
 }
 
 TEST(PacketPoolTest, ClassForSizeBoundaries) {

@@ -343,8 +343,7 @@ TEST(ShardedSimTest, MergedTelemetryInvariantUnderTrafficAwarePlacement) {
 
   auto run = [&](int shards, const Placement* placement) {
     ShardedRack rack(config.seed, config.hosts, config.host_options, shards,
-                     /*num_threads=*/0, config.queue_kind, config.nic_params,
-                     placement);
+                     /*num_threads=*/0, config.nic_params, placement);
     // Ring workload: host h streams a few messages to host h+1, so every
     // placement splits some pairs across shards and keeps others local.
     std::vector<PonyEngine*> engines;

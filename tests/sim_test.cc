@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -127,26 +127,11 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-// ---------------------------------------------------------------------------
-// Both event-queue implementations (timer wheel and legacy heap) must be
-// observably identical; everything below runs against each.
-// ---------------------------------------------------------------------------
-
-class EventQueueImplTest : public ::testing::TestWithParam<EventQueueKind> {};
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, EventQueueImplTest,
-                         ::testing::Values(EventQueueKind::kTimerWheel,
-                                           EventQueueKind::kLegacyHeap),
-                         [](const auto& info) {
-                           return std::string(EventQueueKindName(info.param));
-                         });
-
-TEST_P(EventQueueImplTest, HeavyChurnCancelAndMove) {
-  // Regression for the old PopNext const_cast-on-priority_queue UB and for
-  // slab/generation bookkeeping: schedule, cancel, and "move" (cancel +
-  // reschedule) thousands of events with a seeded RNG, checking that
-  // exactly the surviving events fire, in time order.
-  Simulator sim(1234, GetParam());
+TEST(EventQueueTest, HeavyChurnCancelAndMove) {
+  // Slab/generation bookkeeping under churn: schedule, cancel, and "move"
+  // (cancel + reschedule) thousands of events with a seeded RNG, checking
+  // that exactly the surviving events fire, in time order.
+  Simulator sim(1234);
   Rng rng(42);
   std::vector<EventHandle> handles;
   std::vector<SimTime> expected;  // times of events that must fire
@@ -194,10 +179,10 @@ TEST_P(EventQueueImplTest, HeavyChurnCancelAndMove) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-TEST_P(EventQueueImplTest, StaleHandleAfterSlotReuseIsInert) {
+TEST(EventQueueTest, StaleHandleAfterSlotReuseIsInert) {
   // After an event fires, its slab slot may be reused by a new event; the
   // old handle must neither cancel nor report the new occupant as pending.
-  Simulator sim(1, GetParam());
+  Simulator sim(1);
   bool first_ran = false;
   EventHandle stale = sim.Schedule(10, [&] { first_ran = true; });
   sim.RunFor(100);
@@ -212,11 +197,10 @@ TEST_P(EventQueueImplTest, StaleHandleAfterSlotReuseIsInert) {
   EXPECT_TRUE(second_ran);
 }
 
-TEST_P(EventQueueImplTest, CancelledHeadDoesNotStallNextEventTime) {
+TEST(EventQueueTest, CancelledHeadDoesNotStallNextEventTime) {
   // RunUntil(t) must not execute an event scheduled after t just because a
-  // cancelled event tops the queue (regression: the old heap reported the
-  // cancelled event's time from NextEventTime).
-  Simulator sim(1, GetParam());
+  // cancelled event tops the queue (NextEventTime must skip it).
+  Simulator sim(1);
   bool late_ran = false;
   EventHandle early = sim.Schedule(100, [] {});
   sim.Schedule(1000, [&] { late_ran = true; });
@@ -228,11 +212,11 @@ TEST_P(EventQueueImplTest, CancelledHeadDoesNotStallNextEventTime) {
   EXPECT_TRUE(late_ran);
 }
 
-TEST_P(EventQueueImplTest, FarWheelAndOverflowHorizons) {
+TEST(EventQueueTest, FarWheelAndOverflowHorizons) {
   // Cover every filing tier: same 16us block (near), within ~4.2ms (far),
   // and beyond (overflow heap), plus re-scheduling into the past-most tier
   // as the clock advances across block boundaries.
-  Simulator sim(1, GetParam());
+  Simulator sim(1);
   std::vector<int> order;
   sim.Schedule(3 * kUsec, [&] { order.push_back(0); });        // near
   sim.Schedule(1 * kMsec, [&] { order.push_back(1); });        // far
@@ -246,10 +230,10 @@ TEST_P(EventQueueImplTest, FarWheelAndOverflowHorizons) {
   EXPECT_EQ(sim.now(), 2 * kSec);
 }
 
-TEST_P(EventQueueImplTest, EqualTimeFifoAcrossBlockBoundary) {
+TEST(EventQueueTest, EqualTimeFifoAcrossBlockBoundary) {
   // Events scheduled at the exact same instant from different "eras" of
   // the wheel (before and after block advances) must still fire FIFO.
-  Simulator sim(1, GetParam());
+  Simulator sim(1);
   std::vector<int> order;
   const SimTime t = 10 * kMsec;  // lives in far wheel when first scheduled
   sim.Schedule(t, [&] { order.push_back(0); });
@@ -261,9 +245,9 @@ TEST_P(EventQueueImplTest, EqualTimeFifoAcrossBlockBoundary) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
 }
 
-TEST_P(EventQueueImplTest, MoveOnlyCaptureIsSupported) {
+TEST(EventQueueTest, MoveOnlyCaptureIsSupported) {
   // EventCallback (unlike std::function) must hold move-only captures.
-  Simulator sim(1, GetParam());
+  Simulator sim(1);
   auto payload = std::make_unique<int>(41);
   int result = 0;
   sim.Schedule(5, [&result, p = std::move(payload)] { result = *p + 1; });
@@ -271,31 +255,62 @@ TEST_P(EventQueueImplTest, MoveOnlyCaptureIsSupported) {
   EXPECT_EQ(result, 42);
 }
 
-TEST(EventQueueParityTest, IdenticalFireOrderAcrossImplementations) {
-  // The same randomized schedule/cancel workload must produce the exact
-  // same (time, tag) execution sequence on both implementations.
-  auto run = [](EventQueueKind kind) {
-    Simulator sim(7, kind);
-    Rng rng(7);
-    std::vector<std::pair<SimTime, int>> trace;
-    std::vector<EventHandle> handles;
-    for (int i = 0; i < 2000; ++i) {
-      SimTime when = static_cast<SimDuration>(rng.NextBounded(20 * kMsec));
-      handles.push_back(sim.ScheduleAt(
-          when, [&trace, &sim, i] { trace.emplace_back(sim.now(), i); }));
+TEST(EventQueueTest, FireOrderMatchesTimeThenScheduleOrderSpec) {
+  // Spec oracle: a randomized schedule/cancel workload must execute
+  // exactly the surviving events, ordered by (time, schedule order).
+  // Times come from coarse per-tier grids so that equal-time ties are
+  // common in the near wheel, the far wheel and the overflow heap; some
+  // callbacks schedule a follow-up, so ties also span wheel eras.
+  Simulator sim(7);
+  Rng rng(7);
+  std::vector<std::pair<SimTime, int>> trace;
+  std::vector<std::pair<SimTime, int>> spec;
+  std::vector<EventHandle> handles;
+  int next_seq = 0;
+  auto grid_delay = [&rng]() -> SimDuration {
+    const auto step = static_cast<SimDuration>(rng.NextBounded(40));
+    switch (rng.NextBounded(3)) {
+      case 0:
+        return step * 256;  // near wheel: under one 16 us block
+      case 1:
+        return step * 100 * kUsec;  // far wheel: under ~4.2 ms
+      default:
+        return 5 * kMsec + step * kMsec;  // overflow heap
     }
-    for (int i = 0; i < 2000; i += 5) {
-      handles[i].Cancel();
-    }
-    sim.RunAll();
-    return trace;
   };
-  EXPECT_EQ(run(EventQueueKind::kTimerWheel),
-            run(EventQueueKind::kLegacyHeap));
+  std::function<void(int)> fire = [&](int seq) {
+    trace.emplace_back(sim.now(), seq);
+    if (seq % 7 == 0) {
+      const SimDuration delay = grid_delay();
+      const int child = next_seq++;
+      spec.emplace_back(sim.now() + delay, child);
+      sim.Schedule(delay, [&fire, child] { fire(child); });
+    }
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const SimTime when = grid_delay();
+    const int seq = next_seq++;
+    handles.push_back(sim.ScheduleAt(when, [&fire, seq] { fire(seq); }));
+    if (seq % 5 != 0) {
+      spec.emplace_back(when, seq);
+    }
+  }
+  for (int i = 0; i < 2000; i += 5) {
+    handles[i].Cancel();
+  }
+  sim.RunAll();
+  std::sort(spec.begin(), spec.end());
+  EXPECT_EQ(trace, spec);
+  // The tie-break must actually be exercised.
+  int ties = 0;
+  for (size_t i = 1; i < spec.size(); ++i) {
+    ties += spec[i].first == spec[i - 1].first ? 1 : 0;
+  }
+  EXPECT_GT(ties, 1000);
 }
 
 TEST(EventQueueStatsTest, WheelCountersTrackTiersAndCancels) {
-  Simulator sim(1, EventQueueKind::kTimerWheel);
+  Simulator sim(1);
   sim.Schedule(1 * kUsec, [] {});            // near
   sim.Schedule(1 * kMsec, [] {});            // far
   sim.Schedule(1 * kSec, [] {});             // overflow

@@ -13,14 +13,18 @@ history file's "runs" list. The newest run is also mirrored at the top
 level under "latest" for easy reading.
 
 --baseline-check gates per bench:
-  sim_speed      rack workload must show >= 3x events/sec for the timer
-                 wheel against the pre-PR configuration (legacy heap
-                 queue); compares against the recorded "pre_pr_baseline"
-                 if present, else the legacy-heap A/B leg of the same run.
-                 The rack_scaling leg additionally requires delivered
-                 work to be identical across shard counts (parity_ok)
-                 and the critical-path speedup at the highest shard
-                 count on the largest rack to reach 8x (4x under
+  sim_speed      rack workload must show >= 3x events/sec against the
+                 recorded "pre_pr_baseline" (the pre-timer-wheel tree,
+                 measured on the full workload). Under --smoke, where
+                 absolute events/sec is not comparable to that baseline,
+                 the rack must instead stay at <= 0.6 allocs/event, a
+                 property of the code rather than of the runner (the
+                 timer wheel measures ~0.52; the deleted binary-heap
+                 queue measured ~1.55). The rack_scaling leg
+                 additionally requires delivered work to be identical
+                 across shard counts (parity_ok) and the critical-path
+                 speedup at the highest shard count on the largest
+                 rack to reach 8x (4x under
                  --smoke, where the rack is small). The critical-path
                  ratio is a deterministic property of the simulation, so
                  this gate is runner-independent, unlike wall-clock
@@ -250,35 +254,27 @@ def main():
                 sys.exit(f"baseline check FAILED: critical-path speedup "
                          f"{cp_speedup:.2f}x below {cp_floor}x")
 
-    rack = entry["benchmarks"].get("rack_fig6b", {})
-    wheel = rack.get("timer_wheel", {}).get("events_per_sec", 0.0)
+    rack = entry["benchmarks"].get("rack_fig6b", {}).get("timer_wheel", {})
     if entry.get("smoke"):
         # The recorded pre-PR baseline was measured on the full workload,
         # where fixed warmup/setup costs amortize; the smoke workload is an
         # order of magnitude shorter and not comparable in absolute
-        # events/sec. Gate smoke runs on the same-run legacy-heap leg
-        # instead: a sanity floor that catches the wheel being disabled or
-        # badly regressed, while the 3x absolute claim stays a full-run
-        # check.
-        heap = rack.get("legacy_heap", {}).get("events_per_sec", 0.0)
-        if heap:
-            ratio = wheel / heap
-            print(f"rack events/sec (smoke): wheel {wheel:,.0f} vs "
-                  f"legacy heap {heap:,.0f} -> {ratio:.2f}x "
-                  f"(smoke floor >= 1.15x; run without --smoke for the "
-                  f"3x pre-PR gate)")
-            if args.baseline_check and ratio < 1.15:
-                sys.exit("baseline check FAILED: smoke speedup vs "
-                         "legacy heap below 1.15x")
+        # events/sec. Gate smoke runs on allocs/event instead: it does not
+        # depend on the runner, and it catches a hot path that starts
+        # allocating per event, while the 3x absolute claim stays a
+        # full-run check.
+        allocs = rack.get("allocs_per_event", float("inf"))
+        print(f"rack allocs/event (smoke): {allocs:.3f} (smoke ceiling "
+              f"<= 0.6; run without --smoke for the 3x pre-PR gate)")
+        if args.baseline_check and allocs > 0.6:
+            sys.exit("baseline check FAILED: smoke rack allocs/event "
+                     "above 0.6")
         return
+    wheel = rack.get("events_per_sec", 0.0)
     baseline = history.get("pre_pr_baseline", {}).get("events_per_sec")
-    baseline_name = "recorded pre-PR baseline"
-    if baseline is None:
-        baseline = rack.get("legacy_heap", {}).get("events_per_sec", 0.0)
-        baseline_name = "legacy-heap leg of this run"
     if baseline:
         ratio = wheel / baseline
-        print(f"rack events/sec: wheel {wheel:,.0f} vs {baseline_name} "
+        print(f"rack events/sec: {wheel:,.0f} vs recorded pre-PR baseline "
               f"{baseline:,.0f} -> {ratio:.2f}x (target >= 3x)")
         if args.baseline_check and ratio < 3.0:
             sys.exit("baseline check FAILED: speedup below 3x")

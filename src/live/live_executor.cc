@@ -50,6 +50,11 @@ void LiveExecutor::SetPollHook(std::function<int()> hook) {
   poll_hook_ = std::move(hook);
 }
 
+void LiveExecutor::SetPassEndHook(std::function<void()> hook) {
+  SNAP_CHECK(!running()) << "SetPassEndHook after Start";
+  pass_end_hook_ = std::move(hook);
+}
+
 EventHandle LiveExecutor::ScheduleAt(SimTime when, EventQueue::Callback cb) {
   // Late deadlines are normal on a wall clock; clamp instead of CHECK.
   SimTime at = std::max(when, now());
@@ -135,6 +140,9 @@ int LiveExecutor::RunPass() {
     Engine::PollResult r = engine->Poll(now, options_.poll_budget);
     work += r.work_items;
     max_delay = std::max(max_delay, engine->QueueingDelay(now));
+  }
+  if (pass_end_hook_) {
+    pass_end_hook_();
   }
   queue_delay_ns_.store(max_delay, std::memory_order_relaxed);
   telemetry().MaybeSampleSeries(now);

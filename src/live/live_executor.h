@@ -21,7 +21,8 @@
 //  - Engines, the NIC, and all timers belong to whichever thread runs
 //    RunPass(); exactly one thread may do so at a time, and handoffs
 //    between threads must happen-before (the scheduler's migration lists
-//    provide this). AddEngine / SetPollHook are setup-thread-only.
+//    provide this). AddEngine / SetPollHook / SetPassEndHook are
+//    setup-thread-only.
 //    After start, ScheduleAt may only be called from the running thread
 //    (engines re-arming their own wake timers).
 //  - Wake() is callable from any thread — it is the doorbell the SPSC
@@ -85,6 +86,9 @@ class LiveExecutor final : public Substrate {
   // of work items it produced (fabric drains deliver inbound packets
   // here). At most one hook.
   void SetPollHook(std::function<int()> hook);
+  // Runs once at the end of every pass, after the engine polls: the UDP
+  // fabric flushes the frames the pass batched. At most one hook.
+  void SetPassEndHook(std::function<void()> hook);
 
   // --- Substrate ---
   EventHandle ScheduleAt(SimTime when, EventQueue::Callback cb) override;
@@ -101,8 +105,9 @@ class LiveExecutor final : public Substrate {
 
   // --- Scheduler interface (src/live/live_scheduler.h) ---
   // One full pass: advance the clock, run due timers, the poll hook, each
-  // engine's mailbox + Poll, and the self-paced telemetry sample. Returns
-  // the number of work items. Caller must be the (single) owning thread.
+  // engine's mailbox + Poll, the pass-end hook, and the self-paced
+  // telemetry sample. Returns the number of work items. Caller must be
+  // the (single) owning thread.
   int RunPass();
   // Nanoseconds until the next pending timer, from a FRESH clock read
   // (never the stale pass-top time — a park bound computed from stale
@@ -161,6 +166,7 @@ class LiveExecutor final : public Substrate {
   EventQueue events_;
   std::vector<Engine*> engines_;
   std::function<int()> poll_hook_;
+  std::function<void()> pass_end_hook_;
   std::thread thread_;
 
   std::atomic<bool> stop_{false};

@@ -110,6 +110,7 @@ Status LiveRuntime::Init() {
       udp_->AddHost(h, nic, exec);
       UdpFabric* fabric = udp_.get();
       exec->SetPollHook([fabric, h] { return fabric->DrainTo(h); });
+      exec->SetPassEndHook([fabric, h] { fabric->Flush(h); });
     }
   }
   // Remote hosts resolve through the directory like local ones: register
@@ -296,6 +297,7 @@ LiveRuntime::FabricStats LiveRuntime::GetFabricStats() const {
     UdpFabric::Stats f = udp_->GetStats();
     s.delivered = f.delivered;
     s.dropped = f.dropped_send + f.dropped_decode + f.dropped_bad_address;
+    s.send_calls = f.send_calls;
   }
   return s;
 }

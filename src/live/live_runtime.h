@@ -144,6 +144,7 @@ class LiveRuntime {
   struct FabricStats {
     int64_t delivered = 0;
     int64_t dropped = 0;
+    int64_t send_calls = 0;  // UDP data send syscalls (0 on loopback)
   };
   FabricStats GetFabricStats() const;
 

@@ -46,6 +46,7 @@ class LoopbackFabric : public PacketEgress {
 
   // PacketEgress; called on the source host's engine thread.
   void Route(PacketPtr packet, SimTime wire_time) override;
+  bool models_link_timing() const override { return false; }
 
   // Drains every ring addressed to `dst_host` into its NIC. Must be called
   // from that host's executor thread (its poll hook). Returns packets

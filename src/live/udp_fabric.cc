@@ -3,11 +3,14 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
+#include <netinet/udp.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "src/util/logging.h"
@@ -17,6 +20,9 @@ namespace snap {
 namespace {
 // Largest frame we expect: headers + a 5kB-MTU payload, with slack.
 constexpr size_t kMaxFrameBytes = 16 * 1024;
+// One GSO send carries at most this many bytes (the largest UDP payload
+// over IPv4).
+constexpr size_t kMaxGsoBytes = 65507;
 
 bool SameEndpoint(const sockaddr_in& a, const sockaddr_in& b) {
   return a.sin_addr.s_addr == b.sin_addr.s_addr && a.sin_port == b.sin_port;
@@ -47,7 +53,9 @@ UdpFabric::UdpFabric(int num_hosts, Options options)
   executors_.resize(num_hosts, nullptr);
   for (int i = 0; i < num_hosts; ++i) {
     delivered_.push_back(std::make_unique<std::atomic<int64_t>>(0));
+    batches_.push_back(std::make_unique<TxBatch>());
     dropped_send_.push_back(std::make_unique<std::atomic<int64_t>>(0));
+    send_calls_.push_back(std::make_unique<std::atomic<int64_t>>(0));
     dropped_decode_.push_back(std::make_unique<std::atomic<int64_t>>(0));
   }
 }
@@ -383,27 +391,137 @@ void UdpFabric::Route(PacketPtr packet, SimTime wire_time) {
     dropped_bad_address_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Reused per engine thread: encoding allocates nothing at steady state.
-  thread_local std::vector<uint8_t> frame;
-  Status encoded = EncodeWireFrame(*packet, &frame);
+  // The batch buffer keeps its capacity across flushes: encoding
+  // allocates nothing at steady state.
+  TxBatch& batch = *batches_[src];
+  size_t offset = batch.bytes.size();
+  Status encoded = EncodeWireFrame(*packet, &batch.bytes);
   if (!encoded.ok()) {
     dropped_send_[src]->fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ssize_t sent =
-      ::sendto(fds_[src], frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&peers_[dst].addr),
-               sizeof(peers_[dst].addr));
-  if (sent < 0) {
-    // EAGAIN/ENOBUFS: the socket buffer is the congested egress port.
-    dropped_send_[src]->fetch_add(1, std::memory_order_relaxed);
-    return;
+  batch.frames.push_back({dst, offset, batch.bytes.size() - offset});
+}
+
+// Every segment `segment` bytes long except a shorter last one.
+struct UdpFabric::GsoRun {
+  // The kernel's UDP_MAX_SEGMENTS on older kernels.
+  static constexpr size_t kMaxSegments = 64;
+  iovec iov[kMaxSegments];
+  size_t count = 0;
+  size_t segment = 0;
+  size_t bytes = 0;
+  bool closed = false;  // a shorter segment was added: nothing may follow
+
+  // Appends the frame, or returns false when it cannot join this run.
+  bool TryAdd(uint8_t* data, size_t len);
+  void Clear() {
+    count = 0;
+    bytes = 0;
+    closed = false;
   }
-  // In-process peers get their doorbell rung; remote peers rely on the
-  // receiver's bounded park.
-  if (executors_[dst] != nullptr) {
-    executors_[dst]->Wake();
+};
+
+bool UdpFabric::GsoRun::TryAdd(uint8_t* data, size_t len) {
+  if (count > 0 && (closed || count == kMaxSegments || len > segment ||
+                    bytes + len > kMaxGsoBytes)) {
+    return false;
   }
+  if (count == 0) {
+    segment = len;
+  }
+  closed = len < segment;  // only the last segment may be shorter
+  iov[count].iov_base = data;
+  iov[count].iov_len = len;
+  ++count;
+  bytes += len;
+  return true;
+}
+
+int UdpFabric::Flush(int src_host) {
+  TxBatch& batch = *batches_[src_host];
+  int accepted = 0;
+  GsoRun run;
+  int run_dst = -1;
+  auto send_run = [&] {
+    int sent = SendRun(src_host, run_dst, run, &batch.gso);
+    // In-process peers get their doorbell rung (latched: a repeat ring in
+    // one pass is cheap); remote peers rely on the receiver's bounded park.
+    if (sent > 0 && executors_[run_dst] != nullptr) {
+      executors_[run_dst]->Wake();
+    }
+    accepted += sent;
+    run.Clear();
+  };
+  // Runs form in routing order: one closes when the destination changes
+  // or the next frame cannot join it, so per-destination order holds.
+  for (const TxBatch::Frame& f : batch.frames) {
+    uint8_t* data = batch.bytes.data() + f.offset;
+    if (f.dst == run_dst && run.TryAdd(data, f.len)) {
+      continue;
+    }
+    if (run_dst >= 0) {
+      send_run();
+    }
+    run_dst = f.dst;
+    run.TryAdd(data, f.len);
+  }
+  if (run_dst >= 0) {
+    send_run();
+  }
+  batch.bytes.clear();
+  batch.frames.clear();
+  return accepted;
+}
+
+int UdpFabric::SendRun(int src, int dst, const GsoRun& run, bool* gso) {
+  int fd = fds_[src];
+  const sockaddr_in& to = peers_[dst].addr;
+  if (run.count > 1 && *gso) {
+    alignas(cmsghdr) char control[CMSG_SPACE(sizeof(uint16_t))] = {};
+    msghdr msg{};
+    msg.msg_name = const_cast<sockaddr_in*>(&to);
+    msg.msg_namelen = sizeof(to);
+    msg.msg_iov = const_cast<iovec*>(run.iov);
+    msg.msg_iovlen = run.count;
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
+    cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+    cm->cmsg_level = SOL_UDP;
+    cm->cmsg_type = UDP_SEGMENT;
+    cm->cmsg_len = CMSG_LEN(sizeof(uint16_t));
+    uint16_t segment = static_cast<uint16_t>(run.segment);
+    std::memcpy(CMSG_DATA(cm), &segment, sizeof(segment));
+    send_calls_[src]->fetch_add(1, std::memory_order_relaxed);
+    if (::sendmsg(fd, &msg, 0) >= 0) {
+      return static_cast<int>(run.count);
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
+      // The socket buffer is the congested egress port: the whole run
+      // is lost, exactly as if each datagram had hit it.
+      dropped_send_[src]->fetch_add(static_cast<int64_t>(run.count),
+                                    std::memory_order_relaxed);
+      return 0;
+    }
+    // The kernel or the path refuses segmentation offload (no
+    // UDP_SEGMENT, or a segment above the device MTU): send datagram by
+    // datagram from now on.
+    *gso = false;
+  }
+  int accepted = 0;
+  for (size_t k = 0; k < run.count; ++k) {
+    send_calls_[src]->fetch_add(1, std::memory_order_relaxed);
+    ssize_t sent = ::sendto(fd, run.iov[k].iov_base, run.iov[k].iov_len, 0,
+                            reinterpret_cast<const sockaddr*>(&to),
+                            sizeof(to));
+    if (sent < 0) {
+      // EAGAIN/ENOBUFS: the socket buffer is the congested egress port.
+      dropped_send_[src]->fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    ++accepted;
+  }
+  return accepted;
 }
 
 int UdpFabric::DrainTo(int dst_host) {
@@ -449,6 +567,7 @@ UdpFabric::Stats UdpFabric::GetStats() const {
   for (int i = 0; i < num_hosts_; ++i) {
     s.delivered += delivered_[i]->load(std::memory_order_relaxed);
     s.dropped_send += dropped_send_[i]->load(std::memory_order_relaxed);
+    s.send_calls += send_calls_[i]->load(std::memory_order_relaxed);
     s.dropped_decode += dropped_decode_[i]->load(std::memory_order_relaxed);
   }
   s.dropped_bad_address =

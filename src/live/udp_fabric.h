@@ -2,10 +2,14 @@
 // real Pony Express frames on the wire (src/packet/wire.h full-frame
 // codec).
 //
-// Each local host binds its own non-blocking datagram socket; Route()
-// encodes the packet and sendto()s it from the source host's engine
-// thread, and the destination's poll hook recvfrom()s in batches,
-// decodes, and hands packets to its NIC.
+// Each local host binds its own non-blocking datagram socket. Route()
+// encodes the packet straight into the source host's batch buffer; at the
+// end of each executor pass Flush() hands the batch to the kernel — every
+// run of equal-size frames to one destination in one UDP GSO sendmsg
+// (UDP_SEGMENT), any other frame in a plain send — waking the destination
+// after each send. The destination's poll hook recvfrom()s in batches,
+// decodes, and hands packets to its NIC. If the kernel rejects
+// UDP_SEGMENT, that host falls back to one send per datagram.
 //
 // Cross-process/machine operation: a fabric may own only a subset of the
 // rack's hosts (`local_hosts`), with every other host living in another
@@ -28,9 +32,9 @@
 // UDP is allowed to drop, duplicate, and reorder — exactly the lossy
 // fabric contract Pony Express is built against, so no reliability shim
 // sits between the socket and the transport. A send that fails with
-// EAGAIN (full socket buffer) counts as a fabric drop for the same
-// reason. Peers in other processes cannot ring a parked executor's
-// doorbell; the bounded max_park covers that gap.
+// EAGAIN (full socket buffer) counts every datagram it carried as a
+// fabric drop for the same reason. Peers in other processes cannot ring a
+// parked executor's doorbell; the bounded max_park covers that gap.
 #ifndef SRC_LIVE_UDP_FABRIC_H_
 #define SRC_LIVE_UDP_FABRIC_H_
 
@@ -38,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,8 +97,17 @@ class UdpFabric : public PacketEgress {
   // Setup-thread-only, after Init(). Local hosts only.
   void AddHost(int host_id, Nic* nic, LiveExecutor* executor);
 
-  // PacketEgress; called on the source host's engine thread.
+  // PacketEgress; called on the source host's engine thread. Batches the
+  // encoded frame: nothing reaches the socket before Flush(src_host).
   void Route(PacketPtr packet, SimTime wire_time) override;
+  bool models_link_timing() const override { return false; }
+
+  // Sends every frame batched for `src_host` since the last flush, ringing
+  // an in-process destination's doorbell after each send. Called on the
+  // source host's executor thread at the end of each pass (LiveRuntime
+  // installs it as the executor's pass-end hook). Returns the datagrams
+  // the kernel accepted.
+  int Flush(int src_host);
 
   // Drains up to recv_batch datagrams for `dst_host` into its NIC; called
   // from that host's executor thread. Returns packets delivered.
@@ -111,7 +125,8 @@ class UdpFabric : public PacketEgress {
 
   struct Stats {
     int64_t delivered = 0;
-    int64_t dropped_send = 0;    // sendto failed (buffer full etc.)
+    int64_t dropped_send = 0;    // send failed (buffer full etc.)
+    int64_t send_calls = 0;      // data-frame send syscalls
     int64_t dropped_decode = 0;  // undecodable / stray datagram
     int64_t dropped_bad_address = 0;
     int64_t control_frames = 0;  // rendezvous traffic (both directions)
@@ -119,6 +134,23 @@ class UdpFabric : public PacketEgress {
   Stats GetStats() const;
 
  private:
+  // Frames Route() batched for one source host, back to back in `bytes`.
+  // Touched only by that host's executor thread.
+  struct TxBatch {
+    struct Frame {
+      int dst;
+      size_t offset;
+      size_t len;
+    };
+    std::vector<uint8_t> bytes;
+    std::vector<Frame> frames;
+    bool gso = true;  // cleared for good once the kernel rejects GSO
+  };
+
+  // Frames to one destination that can leave in one GSO send (defined in
+  // udp_fabric.cc).
+  struct GsoRun;
+
   struct Peer {
     sockaddr_in addr{};
     uint16_t wire_min = kPonyWireVersionMin;
@@ -132,6 +164,10 @@ class UdpFabric : public PacketEgress {
   std::vector<ControlEntry> LocalEntries() const;
   void AdoptTable(const ControlFrame& table);
   void SendAck(int fd, const sockaddr_in& to);
+  // Sends `run` from `src` to `dst` in one GSO call, or one call per
+  // frame when it holds one frame or `*gso` is off (cleared here if the
+  // kernel rejects GSO). Returns datagrams the kernel accepted.
+  int SendRun(int src, int dst, const GsoRun& run, bool* gso);
 
   int num_hosts_;
   Options options_;
@@ -145,7 +181,9 @@ class UdpFabric : public PacketEgress {
   int dir_fd_ = -1;
   sockaddr_in dir_addr_{};
   std::vector<std::unique_ptr<std::atomic<int64_t>>> delivered_;
+  std::vector<std::unique_ptr<TxBatch>> batches_;
   std::vector<std::unique_ptr<std::atomic<int64_t>>> dropped_send_;
+  std::vector<std::unique_ptr<std::atomic<int64_t>>> send_calls_;
   std::vector<std::unique_ptr<std::atomic<int64_t>>> dropped_decode_;
   std::atomic<int64_t> dropped_bad_address_{0};
   std::atomic<int64_t> control_frames_{0};

@@ -20,6 +20,12 @@ class PacketEgress {
   // NIC's uplink at `wire_time` and carries it toward packet->dst_host.
   // May drop (the fabric is lossy end-to-end; transports retransmit).
   virtual void Route(PacketPtr packet, SimTime wire_time) = 0;
+
+  // True if the NIC must model the link in front of this egress: serialize
+  // each packet onto a modeled uplink and wait out the NIC pipeline delay
+  // before Route(). The simulated Fabric does; a live egress is the wire
+  // itself, so its NIC routes each packet as soon as it is transmitted.
+  virtual bool models_link_timing() const = 0;
 };
 
 // Nanoseconds to serialize `bytes` at `gbps`.

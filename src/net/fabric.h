@@ -62,6 +62,7 @@ class Fabric : public PacketEgress {
   // Called by a NIC when a packet finishes serializing onto its uplink at
   // time `wire_time`. Routes through the destination's egress port.
   void Route(PacketPtr packet, SimTime wire_time) override;
+  bool models_link_timing() const override { return true; }
 
   // Second half of Route: contend for the destination's egress port queue
   // and schedule delivery. Public so delivery hooks can re-inject packets

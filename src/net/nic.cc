@@ -99,7 +99,11 @@ void RxQueue::Fire() {
 
 Nic::Nic(Substrate* sim, PacketEgress* egress, int host_id,
          const NicParams& params)
-    : sim_(sim), egress_(egress), host_id_(host_id), params_(params) {
+    : sim_(sim),
+      egress_(egress),
+      models_link_(egress->models_link_timing()),
+      host_id_(host_id),
+      params_(params) {
   // Queue 0: the host kernel's default queue.
   queues_.push_back(std::make_unique<RxQueue>(sim_, params_, 0));
 }
@@ -152,6 +156,13 @@ bool Nic::Transmit(PacketPtr packet) {
     if (!qos_tx_->drain_pending) {
       ScheduleQosDrain(std::max(now, tx_busy_until_));
     }
+    return true;
+  }
+  if (!models_link_) {
+    // Live egress: the socket or ring is the wire. No serialization slot,
+    // no pipeline delay, no timer event; the descriptor frees at once.
+    --tx_outstanding_;
+    egress_->Route(std::move(packet), now);
     return true;
   }
   // Serialize onto the uplink behind any packets already queued in the

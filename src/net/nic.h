@@ -2,6 +2,14 @@
 // filters, adaptive interrupt moderation, and a transmit path that
 // serializes onto the link.
 //
+// The link timing model (serialization slot on a `link_gbps` uplink, then
+// `nic_pipeline_delay`, then one timer event per packet) runs only in front
+// of an egress that models link timing — the simulated Fabric. In front of
+// a live egress (UDP sockets, loopback rings) the socket is the wire, so
+// the FIFO TX path hands each packet to Route() inside Transmit(). The QoS
+// WFQ drain (EnableQosTx) keeps its modeled link drain in both substrates:
+// its fairness is defined against that link's idle edges.
+//
 // Engines interact with the NIC exactly the way Snap does with real
 // hardware: they poll RX descriptor rings (OS-bypass), transmit only when
 // descriptor slots are available (Section 3.1's "just-in-time generation of
@@ -118,7 +126,8 @@ class Nic {
   // Multi-tenant QoS (src/qos/): switches the TX path from FIFO link
   // serialization to per-tenant queues drained by weighted fair queuing.
   // `tenants` supplies weights and must outlive the NIC. Default off; the
-  // legacy path is untouched and event-for-event identical.
+  // legacy path is untouched and event-for-event identical. The drain
+  // serializes onto the modeled link on live substrates too.
   void EnableQosTx(const qos::TenantRegistry* tenants);
   bool qos_tx_enabled() const { return qos_tx_ != nullptr; }
 
@@ -179,6 +188,7 @@ class Nic {
 
   Substrate* sim_;
   PacketEgress* egress_;
+  const bool models_link_;  // egress_->models_link_timing(), read once
   int host_id_;
   NicParams params_;
   std::vector<std::unique_ptr<RxQueue>> queues_;

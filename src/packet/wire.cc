@@ -1,5 +1,6 @@
 #include "src/packet/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/packet/crc32.h"
@@ -184,9 +185,13 @@ Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out) {
     return InvalidArgumentError("unsupported wire version");
   }
   size_t header_len = EncodePonyHeaderRaw(packet.pony, header);
-  out->clear();
-  out->reserve(4 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 2 + header_len + 4 +
-               packet.data.size());
+  size_t needed = out->size() + 4 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 2 +
+                  header_len + 4 + packet.data.size();
+  if (needed > out->capacity()) {
+    // Grow geometrically: `out` may be a batch that gains a frame per call,
+    // and an exact reserve would copy it whole on every append.
+    out->reserve(std::max(needed, 2 * out->capacity()));
+  }
   auto put = [out](const auto& value) {
     const auto* p = reinterpret_cast<const uint8_t*>(&value);
     out->insert(out->end(), p, p + sizeof(value));

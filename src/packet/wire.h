@@ -66,8 +66,10 @@ StatusOr<uint16_t> NegotiateWireVersion(uint16_t local_min, uint16_t local_max,
 // Frames start with this magic so stray datagrams are rejected cheaply.
 inline constexpr uint32_t kWireFrameMagic = 0x534e5046;  // "SNPF"
 
-// Encodes `packet` into `out` (overwritten). Only WireProtocol::kPony
-// packets have a wire encoding; anything else is an error.
+// Appends the encoding of `packet` to `out` (earlier contents stay, so a
+// sender can pack many frames into one buffer). Only WireProtocol::kPony
+// packets have a wire encoding; anything else is an error and appends
+// nothing.
 Status EncodeWireFrame(const Packet& packet, std::vector<uint8_t>* out);
 
 // Parses a frame; fails on bad magic, truncation, or unsupported versions.

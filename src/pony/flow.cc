@@ -19,6 +19,10 @@ constexpr SimDuration kAckDelay = 20 * kUsec;
 // catch up with a burst of this many packets (paced NICs and Snap's
 // just-in-time generation both emit short line-rate bursts).
 constexpr int kPacingBurstPackets = 16;
+// Dup-acks that signal a loss (fast retransmit).
+constexpr int kDupAckThreshold = 3;
+// Ceiling on the backed-off retransmission timeout (RFC 6298 5.5).
+constexpr SimDuration kMaxRto = 64 * kMsec;
 
 }  // namespace
 
@@ -146,11 +150,11 @@ void Flow::RebuildCreditReservations() {
 }
 
 bool Flow::CanSend(SimTime now) const {
+  if (!retx_queue_.empty()) {
+    return true;  // retransmits bypass pacing and the window bound
+  }
   if (unacked_.size() >= kMaxUnackedPackets) {
     return false;
-  }
-  if (!retx_queue_.empty()) {
-    return true;  // retransmits bypass pacing
   }
   if (!AnythingSendable()) {
     return false;
@@ -159,11 +163,11 @@ bool Flow::CanSend(SimTime now) const {
 }
 
 SimTime Flow::NextSendTime() const {
-  if (unacked_.size() >= kMaxUnackedPackets) {
-    return kSimTimeNever;  // unblocked by an ack, not by time
-  }
   if (!retx_queue_.empty()) {
     return 0;
+  }
+  if (unacked_.size() >= kMaxUnackedPackets) {
+    return kSimTimeNever;  // unblocked by an ack, not by time
   }
   if (!AnythingSendable()) {
     return kSimTimeNever;  // unblocked by a credit grant or new work
@@ -198,7 +202,9 @@ PacketPtr Flow::MakePacket(const TxRecord& record, SimTime now,
   // cumulative count makes any later packet heal the loss.
   p->pony.credit = granted_total_;
   p->payload_bytes = record.payload_bytes;
-  p->data = record.data;  // copy retained for retransmission
+  // Copy; the record keeps its bytes for retransmission.
+  std::span<const uint8_t> bytes = record.bytes();
+  p->data.assign(bytes.begin(), bytes.end());
   p->wire_bytes = record.payload_bytes + params_->header_bytes;
   p->tenant = tenant_;  // QoS bookkeeping tag, outside the CRC-covered header
   ack_pending_ = false;  // piggybacked
@@ -218,6 +224,11 @@ PacketPtr Flow::BuildNextPacket(SimTime now) {
   // Even a nullptr return may have mutated state (stale retransmission
   // entries reaped below), so re-derive on every path.
   RecomputeInert();
+  if (p != nullptr && rto_at_ == kSimTimeNever) {
+    // First send into an empty window, or the first retransmission of a
+    // restored flow (whose timer starts disarmed).
+    ArmRtoTimer(now);
+  }
   return p;
 }
 
@@ -231,7 +242,6 @@ PacketPtr Flow::BuildNextPacketImpl(SimTime now) {
       continue;
     }
     retx_queue_.pop_front();
-    NoteSentAtDisturbed(it->second.sent_at);
     it->second.sent_at = now;
     ++it->second.transmissions;
     it->second.last_retx_at = now;
@@ -256,7 +266,6 @@ PacketPtr Flow::BuildNextPacketImpl(SimTime now) {
   next_send_time_ = base + gap;
   ++stats_.data_packets_sent;
   unacked_[seq] = Unacked{std::move(record), now};
-  NoteSentAtInserted(now);
   return p;
 }
 
@@ -317,6 +326,7 @@ Flow::RxResult Flow::OnReceiveImpl(const Packet& packet, SimTime now) {
   // software send-time lookup on cumulative-ack advance for v1 peers.
   if (h.ts_echo != 0) {
     timely_.OnRttSample(now - h.ts_echo, now);
+    OnRttEstimate(now - h.ts_echo);
     ++stats_.rtt_samples;
   }
 
@@ -335,9 +345,13 @@ Flow::RxResult Flow::OnReceiveImpl(const Packet& packet, SimTime now) {
   uint64_t ack = h.ack;
   if (ack > last_ack_seen_) {
     SimTime newest_sent = -1;
+    bool newest_retransmitted = false;
     auto it = unacked_.begin();
     while (it != unacked_.end() && it->first <= ack) {
-      newest_sent = std::max(newest_sent, it->second.sent_at);
+      if (it->second.sent_at > newest_sent) {
+        newest_sent = it->second.sent_at;
+        newest_retransmitted = it->second.transmissions > 1;
+      }
       if (it->second.transmissions > 1 &&
           now - it->second.last_retx_at < params_->spurious_rtt_floor) {
         // The ack arrived before the retransmit could have plausibly
@@ -347,24 +361,47 @@ Flow::RxResult Flow::OnReceiveImpl(const Packet& packet, SimTime now) {
       if (ack_observer_) {
         ack_observer_(it->second.record);
       }
-      NoteSentAtDisturbed(it->second.sent_at);
       it = unacked_.erase(it);
     }
     if (h.ts_echo == 0 && newest_sent >= 0) {
       timely_.OnRttSample(now - newest_sent, now);
+      if (!newest_retransmitted) {
+        OnRttEstimate(now - newest_sent);  // Karn: never time a retransmit
+      }
       ++stats_.rtt_samples;
     }
     last_ack_seen_ = ack;
     dup_acks_ = 0;
+    // New data acked: the backoff resets and the timer restarts for what
+    // is still in flight.
+    rto_backoff_ = 0;
+    if (unacked_.empty()) {
+      rto_at_ = kSimTimeNever;
+    } else {
+      ArmRtoTimer(now);
+    }
+    if (in_recovery_) {
+      if (ack >= recover_ || unacked_.empty()) {
+        in_recovery_ = false;
+      } else if (h.ts_echo != 0 && h.ts_echo < recovery_start_) {
+        // The ack echoes a packet sent before recovery began: originals
+        // are still arriving, so the loss signal was spurious (Eifel
+        // detection, RFC 3522). The rest of the window is in flight, not
+        // lost; walking it hole by hole would resend it all. The receiver
+        // echoes its newest arrival, so an original reordered behind the
+        // resent hole ends a real recovery too: the next hole then waits
+        // one RTO instead of going at once. That costs time, not data,
+        // and is accepted.
+        in_recovery_ = false;
+      } else {
+        // Partial ack (NewReno): the next hole was lost too.
+        QueueRetransmit(unacked_.begin()->first);
+      }
+    }
   } else if (ack == last_ack_seen_ && !unacked_.empty() &&
              h.type == PonyPacketType::kAck) {
-    if (++dup_acks_ == 3) {
-      // Fast retransmit the first hole.
-      uint64_t missing = ack + 1;
-      if (unacked_.count(missing) > 0) {
-        retx_queue_.push_back(missing);
-      }
-      dup_acks_ = 0;
+    if (++dup_acks_ == kDupAckThreshold && !in_recovery_) {
+      EnterRecovery(now);  // fast retransmit
     }
   }
 
@@ -408,47 +445,58 @@ Flow::RxResult Flow::OnReceiveImpl(const Packet& packet, SimTime now) {
   return result;
 }
 
-SimTime Flow::rto_deadline() const {
-  if (unacked_.empty()) {
-    return kSimTimeNever;
+void Flow::OnRttEstimate(SimDuration rtt) {
+  if (rtt < 0) {
+    return;
   }
-  if (!oldest_sent_valid_) {
-    SimTime oldest = kSimTimeNever;
-    for (const auto& [seq, u] : unacked_) {
-      oldest = std::min(oldest, u.sent_at);
-    }
-    oldest_sent_ = oldest;
-    oldest_sent_valid_ = true;
+  if (srtt_ == 0) {
+    srtt_ = rtt;
+    rttvar_ = rtt / 2;
+    return;
   }
-  return oldest_sent_ + params_->min_rto;
+  SimDuration err = srtt_ > rtt ? srtt_ - rtt : rtt - srtt_;
+  rttvar_ = (3 * rttvar_ + err) / 4;
+  srtt_ = (7 * srtt_ + rtt) / 8;
+}
+
+SimDuration Flow::CurrentRto() const {
+  SimDuration rto = std::max(params_->min_rto, srtt_ + 4 * rttvar_);
+  SimDuration cap = std::max(rto, kMaxRto);
+  for (int i = 0; i < rto_backoff_ && rto < cap; ++i) {
+    rto *= 2;
+  }
+  return std::min(rto, cap);
+}
+
+void Flow::QueueRetransmit(uint64_t seq) {
+  if (std::find(retx_queue_.begin(), retx_queue_.end(), seq) ==
+      retx_queue_.end()) {
+    retx_queue_.push_back(seq);
+  }
+}
+
+void Flow::EnterRecovery(SimTime now) {
+  in_recovery_ = true;
+  recovery_start_ = now;
+  recover_ = next_seq_ - 1;
+  QueueRetransmit(unacked_.begin()->first);
 }
 
 bool Flow::OnTimerCheck(SimTime now) {
-  if (unacked_.empty()) {
-    return false;
+  if (rto_at_ > now || unacked_.empty()) {
+    return false;  // disarmed (kSimTimeNever) or not yet due
   }
-  if (rto_deadline() > now) {
-    return false;  // earliest deadline not reached: nothing can fire
+  // An armed timer implies unacked data. Only the lowest seq goes again;
+  // recovery then walks the remaining holes one partial ack at a time.
+  EnterRecovery(now);
+  if (CurrentRto() < kMaxRto) {
+    ++rto_backoff_;
   }
-  bool fired = false;
-  for (auto& [seq, u] : unacked_) {
-    if (u.sent_at + params_->min_rto <= now) {
-      // Retransmit the expired packet; mark as freshly sent so it does not
-      // immediately re-expire while queued.
-      if (std::find(retx_queue_.begin(), retx_queue_.end(), seq) ==
-          retx_queue_.end()) {
-        retx_queue_.push_back(seq);
-        NoteSentAtDisturbed(u.sent_at);
-        u.sent_at = now;
-        fired = true;
-      }
-    }
-  }
-  if (fired) {
-    ++stats_.rto_events;
-    timely_.OnRetransmitTimeout();
-  }
-  return fired;
+  ArmRtoTimer(now);
+  ++stats_.rto_events;
+  timely_.OnRetransmitTimeout();
+  RecomputeInert();
+  return true;
 }
 
 void Flow::Serialize(StateWriter* w) const {
@@ -485,7 +533,7 @@ void Flow::Serialize(StateWriter* w) const {
     w->PutU16(r.header.status);
     w->PutI64(r.payload_bytes);
     w->PutBool(r.uses_credit);
-    w->PutBytes(r.data);
+    w->PutBytes(r.bytes());
   };
   w->PutU32(static_cast<uint32_t>(unacked_.size()));
   for (const auto& [seq, u] : unacked_) {

@@ -5,18 +5,22 @@
 // specific operations."
 //
 // A Flow provides: per-packet sequencing with cumulative acks and duplicate
-// suppression, fast retransmit on dup-acks, a retransmission timeout,
-// Timely-paced transmission, and credit-based flow control for two-sided
+// suppression, fast retransmit on dup-acks with NewReno recovery, an
+// RFC 6298 retransmission timeout with exponential backoff, Timely-paced
+// transmission, and credit-based flow control for two-sided
 // message data (one-sided operations intentionally bypass credits and fall
 // back to congestion control + CPU scheduling, Section 3.3).
 #ifndef SRC_PONY_FLOW_H_
 #define SRC_PONY_FLOW_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/packet/packet.h"
@@ -48,8 +52,24 @@ struct FlowKey {
 struct TxRecord {
   PonyHeader header;
   int32_t payload_bytes = 0;
-  std::vector<uint8_t> data;
   bool uses_credit = false;  // two-sided message fragments
+  std::vector<uint8_t> data;
+  // Zero-copy message fragment (Section 6.2): when set, the real payload is
+  // this fragment's part of the message body that every fragment shares —
+  // bytes [msg_offset, msg_offset + payload_bytes), clipped to the body —
+  // and `data` is unused. (Fields are ordered to keep the record within
+  // three per deque block.)
+  std::shared_ptr<const std::vector<uint8_t>> body;
+
+  // The real payload bytes, wherever they live.
+  std::span<const uint8_t> bytes() const {
+    if (body == nullptr) {
+      return data;
+    }
+    size_t begin = std::min<size_t>(header.msg_offset, body->size());
+    size_t end = std::min<size_t>(begin + payload_bytes, body->size());
+    return {body->data() + begin, end - begin};
+  }
 
   // One record is built per transmitted fragment; recycling `data`'s
   // buffer through the shared payload cache (see packet.h) keeps record
@@ -128,10 +148,16 @@ class Flow {
   RxResult OnReceive(const Packet& packet, SimTime now);
 
   // --- Timers ---
-  // Earliest deadline needing service (RTO); kSimTimeNever if none.
-  SimTime rto_deadline() const;
-  // Services expired timers; returns true if a retransmit was queued.
+  // The retransmission timer's deadline; kSimTimeNever while disarmed.
+  // Armed by the first send into an empty window, restarted by every
+  // cumulative-ack advance, disarmed when everything is acked.
+  SimTime rto_deadline() const { return rto_at_; }
+  // Fires the retransmission timer if due: retransmits only the lowest
+  // unacked seq, enters recovery and backs the timer off. Returns true if
+  // it fired.
   bool OnTimerCheck(SimTime now);
+  // Current timeout, backoff included (introspection for tests).
+  SimDuration rto() const { return CurrentRto(); }
 
   // --- Two-sided credit flow control ---
   bool HasCredit(int64_t bytes) const { return credit_ >= bytes; }
@@ -214,23 +240,17 @@ class Flow {
            static_cast<uint64_t>(key_.remote_engine);
   }
 
-  // Cache of min(sent_at) over unacked_. rto_deadline() and OnTimerCheck()
-  // are polled every engine iteration; without the cache each poll scans
-  // the whole retransmission window. Invariant when oldest_sent_valid_:
-  // unacked_ is non-empty and oldest_sent_ == min sent_at. The cache is
-  // exact (never stale), so timer behavior is bit-identical to a scan.
-  void NoteSentAtInserted(SimTime sent) {
-    if (oldest_sent_valid_ && sent < oldest_sent_) {
-      oldest_sent_ = sent;
-    }
-  }
-  // Call BEFORE raising or erasing an entry's sent_at; drops the cache
-  // only if that entry could be the current minimum.
-  void NoteSentAtDisturbed(SimTime sent) {
-    if (oldest_sent_valid_ && sent <= oldest_sent_) {
-      oldest_sent_valid_ = false;
-    }
-  }
+  // RFC 6298 retransmission timer. One RTT sample folds into SRTT/RTTVAR;
+  // CurrentRto() is max(min_rto, SRTT + 4*RTTVAR), doubled per unanswered
+  // timeout (capped). The timer is one deadline, not a per-packet scan.
+  void OnRttEstimate(SimDuration rtt);
+  SimDuration CurrentRto() const;
+  void ArmRtoTimer(SimTime now) { rto_at_ = now + CurrentRto(); }
+  // Queues `seq` for retransmission unless it is already queued.
+  void QueueRetransmit(uint64_t seq);
+  // Retransmits the first hole and enters NewReno recovery up to the
+  // highest seq sent so far (timeouts and fast retransmits share this).
+  void EnterRecovery(SimTime now);
 
   // MsgReady() is polled by the engine every iteration (via CanSend /
   // NextSendTime) but its inputs — the stream queues, the credit pool and
@@ -280,8 +300,15 @@ class Flow {
   bool inert_ = true;  // see RecomputeInert(); a fresh flow is inert
   std::deque<uint64_t> retx_queue_;  // seqs to retransmit (from unacked_)
   std::map<uint64_t, Unacked> unacked_;
-  mutable SimTime oldest_sent_ = 0;        // see NoteSentAtInserted()
-  mutable bool oldest_sent_valid_ = false;
+  // Loss recovery (see OnRttEstimate()). Not serialized: a restored flow
+  // restarts from min_rto with the timer disarmed until it next sends.
+  SimTime rto_at_ = kSimTimeNever;  // kSimTimeNever: disarmed
+  SimDuration srtt_ = 0;            // 0 until the first sample
+  SimDuration rttvar_ = 0;
+  int rto_backoff_ = 0;             // timeouts since the last new ack
+  bool in_recovery_ = false;
+  uint64_t recover_ = 0;            // recovery ends once this seq is acked
+  SimTime recovery_start_ = 0;      // acks echoing earlier sends: spurious
   uint64_t next_seq_ = 1;
   int dup_acks_ = 0;
   uint64_t last_ack_seen_ = 0;

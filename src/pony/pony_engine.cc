@@ -688,6 +688,16 @@ void PonyEngine::HandleCommand(PonyClient* client, PonyCommand cmd,
       // Small messages draw on the credit-managed shared pool; large ones
       // use receiver-driven buffer posting and bypass credits.
       bool uses_credit = length <= params_.credit_message_threshold;
+      // A multi-fragment body is shared, not copied: every fragment
+      // references the one command buffer, which is freed when the last
+      // fragment is acked rather than here. A single fragment copies into
+      // its record's recycled buffer instead.
+      int64_t body_bytes = static_cast<int64_t>(cmd.data.size());
+      std::shared_ptr<const std::vector<uint8_t>> body;
+      if (body_bytes > params_.mtu_payload) {
+        body = std::make_shared<const std::vector<uint8_t>>(
+            std::move(cmd.data));
+      }
       int64_t offset = 0;
       while (offset < length) {
         int64_t chunk =
@@ -702,9 +712,10 @@ void PonyEngine::HandleCommand(PonyClient* client, PonyCommand cmd,
         rec.uses_credit = uses_credit;
         // Real payload bytes may cover only a prefix of the (synthetic)
         // message length — e.g. an RPC header riding a larger request.
-        if (offset < static_cast<int64_t>(cmd.data.size())) {
-          int64_t data_end = std::min<int64_t>(
-              static_cast<int64_t>(cmd.data.size()), offset + chunk);
+        if (body != nullptr) {
+          rec.body = body;  // bytes() clips to the real payload prefix
+        } else if (offset < body_bytes) {
+          int64_t data_end = std::min<int64_t>(body_bytes, offset + chunk);
           rec.data.assign(cmd.data.begin() + offset,
                           cmd.data.begin() + data_end);
         }

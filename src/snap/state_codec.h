@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,7 @@ class StateWriter {
     buffer_.insert(buffer_.end(), s.begin(), s.end());
   }
 
-  void PutBytes(const std::vector<uint8_t>& b) {
+  void PutBytes(std::span<const uint8_t> b) {
     PutTag(Tag::kBytes);
     PutRaw(static_cast<uint32_t>(b.size()));
     buffer_.insert(buffer_.end(), b.begin(), b.end());

@@ -385,7 +385,7 @@ SweepRunResult SeedSweepRunner::RunOne(uint64_t seed,
   stop_echo = true;
 
   // Drain to quiesce: reorder holds time out (<= reorder_max_hold), lost
-  // tail packets retransmit (RTO 400us), final acks and credit grants
+  // tail packets retransmit (RTO >= 400us), final acks and credit grants
   // flush. Fixed-step deterministic loop.
   auto quiesced = [&]() -> bool {
     if (chaos_to_a->held_now() > 0 || chaos_to_b->held_now() > 0) {

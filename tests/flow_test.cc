@@ -154,6 +154,199 @@ TEST_F(FlowTest, RtoRetransmitsAndBacksOffRate) {
   EXPECT_EQ(p->pony.seq, 1u);
 }
 
+// A pure ack carrying `ack` whose timestamp echo makes an RTT sample of
+// `rtt` at `now`.
+Packet EchoAck(uint64_t ack, SimTime now, SimDuration rtt) {
+  Packet p;
+  p.src_host = 1;
+  p.pony.version = 2;
+  p.pony.flow_id = (10ull << 32) | 5ull;
+  p.pony.type = PonyPacketType::kAck;
+  p.pony.ack = ack;
+  p.pony.ts_echo = now - rtt;
+  p.wire_bytes = 64;
+  return p;
+}
+
+TEST_F(FlowTest, RtoDoublesOnConsecutiveTimeoutsAndResetsOnNewAck) {
+  for (int i = 0; i < 3; ++i) {
+    flow_.QueueTx(DataRecord());
+  }
+  ASSERT_NE(flow_.BuildNextPacket(0), nullptr);
+  ASSERT_NE(flow_.BuildNextPacket(10 * kUsec), nullptr);
+  // The timer runs from the first send into the empty window.
+  const SimDuration base = params_.min_rto;
+  EXPECT_EQ(flow_.rto(), base);
+  EXPECT_EQ(flow_.rto_deadline(), base);
+
+  SimTime t = base;
+  ASSERT_TRUE(flow_.OnTimerCheck(t));
+  EXPECT_EQ(flow_.rto(), 2 * base);
+  EXPECT_EQ(flow_.rto_deadline(), t + 2 * base);
+  EXPECT_FALSE(flow_.OnTimerCheck(t + 2 * base - 1));
+  t += 2 * base;
+  ASSERT_TRUE(flow_.OnTimerCheck(t));
+  EXPECT_EQ(flow_.rto(), 4 * base);
+  EXPECT_EQ(flow_.rto_deadline(), t + 4 * base);
+  EXPECT_EQ(flow_.stats().rto_events, 2);
+
+  // A new cumulative ack resets the backoff and restarts the timer for
+  // the packet still in flight.
+  t += 10 * kUsec;
+  flow_.OnReceive(EchoAck(1, t, 10 * kUsec), t);
+  EXPECT_EQ(flow_.unacked_packets(), 1u);
+  EXPECT_EQ(flow_.rto(), base);
+  EXPECT_EQ(flow_.rto_deadline(), t + base);
+  // Everything acked: the timer disarms.
+  flow_.OnReceive(EchoAck(2, t + 1, 10 * kUsec), t + 1);
+  EXPECT_EQ(flow_.rto_deadline(), kSimTimeNever);
+  EXPECT_FALSE(flow_.OnTimerCheck(t + kSec));
+}
+
+TEST_F(FlowTest, TimeoutRetransmitsOnlyTheLowestUnackedSeq) {
+  for (int i = 0; i < 8; ++i) {
+    flow_.QueueTx(DataRecord());
+    ASSERT_NE(flow_.BuildNextPacket(i * kUsec), nullptr);
+  }
+  ASSERT_TRUE(flow_.OnTimerCheck(kSec));
+  PacketPtr p = flow_.BuildNextPacket(kSec);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 1u);
+  // Not the window: nothing else is queued behind it.
+  EXPECT_EQ(flow_.BuildNextPacket(kSec), nullptr);
+  EXPECT_EQ(flow_.stats().retransmits, 1);
+  EXPECT_EQ(flow_.retx_queue_size(), 0u);
+}
+
+TEST_F(FlowTest, PartialAckInRecoveryRetransmitsTheNextHole) {
+  for (int i = 0; i < 5; ++i) {
+    flow_.QueueTx(DataRecord());
+    ASSERT_NE(flow_.BuildNextPacket(i * kUsec), nullptr);
+  }
+  // Timeout: seq 1 goes again and recovery covers seqs up to 5.
+  SimTime t = kSec;
+  ASSERT_TRUE(flow_.OnTimerCheck(t));
+  PacketPtr p = flow_.BuildNextPacket(t);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 1u);
+  // Partial ack: 1 and 2 arrived, 3 is the next hole.
+  t += 20 * kUsec;
+  flow_.OnReceive(EchoAck(2, t, 20 * kUsec), t);
+  p = flow_.BuildNextPacket(t);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 3u);
+  // Another partial ack: 4 is next.
+  t += 20 * kUsec;
+  flow_.OnReceive(EchoAck(3, t, 20 * kUsec), t);
+  p = flow_.BuildNextPacket(t);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 4u);
+  // The ack covering the recovery point ends recovery; no more resends.
+  t += 20 * kUsec;
+  flow_.OnReceive(EchoAck(5, t, 20 * kUsec), t);
+  EXPECT_EQ(flow_.BuildNextPacket(t), nullptr);
+  EXPECT_EQ(flow_.stats().retransmits, 3);
+  EXPECT_EQ(flow_.stats().rto_events, 1);
+}
+
+TEST_F(FlowTest, AckOfAnOriginalSendEndsSpuriousRecovery) {
+  for (int i = 0; i < 5; ++i) {
+    flow_.QueueTx(DataRecord());
+    ASSERT_NE(flow_.BuildNextPacket(i * kUsec), nullptr);
+  }
+  // The RTT is longer than the timeout: it fires although nothing is lost.
+  SimTime t = params_.min_rto;
+  ASSERT_TRUE(flow_.OnTimerCheck(t));
+  ASSERT_NE(flow_.BuildNextPacket(t), nullptr);
+  // The first ack echoes seq 2's original send (before the timeout), so
+  // the rest of the window is in flight, not lost: nothing more is resent.
+  t += 100 * kUsec;
+  flow_.OnReceive(EchoAck(2, t, t - 1 * kUsec), t);
+  EXPECT_EQ(flow_.BuildNextPacket(t), nullptr);
+  flow_.OnReceive(EchoAck(3, t + 1, t + 1 - 2 * kUsec), t + 1);
+  EXPECT_EQ(flow_.BuildNextPacket(t + 1), nullptr);
+  EXPECT_EQ(flow_.stats().retransmits, 1);
+}
+
+// The receiver echoes its newest arrival, so an original reordered behind
+// the retransmitted hole makes a real partial ack look like the spurious
+// case above. Recovery ends and the next hole waits for the timer: it
+// costs one RTO, not data.
+TEST_F(FlowTest, ReorderedOriginalLeavesTheNextHoleToTheRto) {
+  for (int i = 0; i < 5; ++i) {
+    flow_.QueueTx(DataRecord());
+    ASSERT_NE(flow_.BuildNextPacket(i * kUsec), nullptr);
+  }
+  // Seqs 1 and 2 are lost; the timeout resends 1.
+  SimTime t = params_.min_rto;
+  ASSERT_TRUE(flow_.OnTimerCheck(t));
+  PacketPtr p = flow_.BuildNextPacket(t);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 1u);
+  // The resent 1 arrives, then seq 5's delayed original (sent at 4 us),
+  // before the receiver builds its ack: ack 1, echoing 4 us.
+  t += 20 * kUsec;
+  flow_.OnReceive(EchoAck(1, t, t - 4 * kUsec), t);
+  EXPECT_EQ(flow_.BuildNextPacket(t), nullptr);  // 2 is not resent yet
+  EXPECT_EQ(flow_.unacked_packets(), 4u);
+  // The restarted timer resends it one RTO later, and the flow drains.
+  SimTime deadline = flow_.rto_deadline();
+  EXPECT_EQ(deadline, t + flow_.rto());
+  EXPECT_FALSE(flow_.OnTimerCheck(deadline - 1));
+  ASSERT_TRUE(flow_.OnTimerCheck(deadline));
+  p = flow_.BuildNextPacket(deadline);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 2u);
+  t = deadline + 20 * kUsec;
+  flow_.OnReceive(EchoAck(5, t, 20 * kUsec), t);
+  EXPECT_EQ(flow_.unacked_packets(), 0u);
+  EXPECT_EQ(flow_.stats().retransmits, 2);
+  EXPECT_EQ(flow_.stats().rto_events, 2);
+}
+
+TEST_F(FlowTest, RtoTracksSrttPlusFourRttvarAboveTheFloor) {
+  // First sample R: SRTT = R, RTTVAR = R/2, so RTO = 3R.
+  flow_.OnReceive(EchoAck(0, kSec, 1 * kMsec), kSec);
+  EXPECT_EQ(flow_.rto(), 3 * kMsec);
+  // A matching sample shrinks RTTVAR by a quarter: 1 + 4 * 0.375 ms.
+  flow_.OnReceive(EchoAck(0, kSec + 1, 1 * kMsec), kSec + 1);
+  EXPECT_EQ(flow_.rto(), 2500 * kUsec);
+  // The timer is armed with the estimate.
+  flow_.QueueTx(DataRecord());
+  ASSERT_NE(flow_.BuildNextPacket(2 * kSec), nullptr);
+  EXPECT_EQ(flow_.rto_deadline(), 2 * kSec + 2500 * kUsec);
+
+  // Short RTTs cannot pull the timeout below min_rto.
+  Flow fast(key_, 0, 5, 2, TimelyParams{}, &params_);
+  fast.OnReceive(EchoAck(0, kSec, 10 * kUsec), kSec);
+  EXPECT_EQ(fast.rto(), params_.min_rto);
+}
+
+TEST_F(FlowTest, DeserializedFlowTakesNoRtoBeforeItsFirstSend) {
+  for (int i = 0; i < 3; ++i) {
+    flow_.QueueTx(DataRecord());
+    ASSERT_NE(flow_.BuildNextPacket(i * kUsec), nullptr);
+  }
+  StateWriter w;
+  flow_.Serialize(&w);
+  StateReader r(w.buffer());
+  Flow restored = Flow::Deserialize(&r, 0, 5, TimelyParams{}, &params_);
+  restored.timely().RestoreRate(2e9);
+
+  // In-flight packets are queued for retransmission, but the timer stays
+  // disarmed: the first poll after restore takes no timeout and no
+  // Timely rate cut.
+  EXPECT_EQ(restored.rto_deadline(), kSimTimeNever);
+  EXPECT_FALSE(restored.OnTimerCheck(kSec));
+  EXPECT_EQ(restored.stats().rto_events, 0);
+  EXPECT_DOUBLE_EQ(restored.timely().rate_bytes_per_sec(), 2e9);
+  // The first retransmission arms it at min_rto.
+  PacketPtr p = restored.BuildNextPacket(kSec);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->pony.seq, 1u);
+  EXPECT_EQ(restored.rto_deadline(), kSec + params_.min_rto);
+}
+
 TEST_F(FlowTest, PacingSpacesPackets) {
   flow_.timely().RestoreRate(1e9);  // 1 GB/s -> ~2us per 2kB packet
   for (int i = 0; i < 64; ++i) {

@@ -4,6 +4,7 @@
 
 #include "src/apps/pony_apps.h"
 #include "src/apps/simhost.h"
+#include "src/testing/invariants.h"
 
 namespace snap {
 namespace {
@@ -164,6 +165,61 @@ TEST_F(PonyE2eTest, ThroughputStreamMovesGigabitsPerSecond) {
   // A single engine core should sustain tens of Gbps (Table 1 shape).
   EXPECT_GT(gbps, 20.0);
   EXPECT_LT(gbps, 100.0);
+}
+
+// The loss-recovery regression behind the live bulk-transfer livelock:
+// with a 1 ms one-way delay the RTT (~2 ms) sits far above min_rto
+// (400 us). A timer that ignores the measured RTT and re-sends every
+// packet older than min_rto re-sends the whole window every 400 us; the
+// RFC 6298 estimate waits out the real RTT and nothing is lost, so almost
+// nothing is resent.
+TEST_F(PonyE2eTest, LongRttBulkMessageDoesNotResendTheWindow) {
+  NicParams nic;
+  nic.propagation_delay = 1 * kMsec;
+  fabric_ = std::make_unique<Fabric>(sim_.get(), nic);
+  SimHost a(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  SimHost b(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  PonyEngine* ea = a.CreatePonyEngine("ea");
+  PonyEngine* eb = b.CreatePonyEngine("eb");
+  auto ca = a.CreateClient(ea, "appA");
+  auto cb = b.CreateClient(eb, "appB");
+
+  InvariantChecker checker(sim_.get());
+  checker.AttachFabric(fabric_.get());
+  checker.SetEngineLister(
+      [ea, eb] { return std::vector<const PonyEngine*>{ea, eb}; });
+  checker.WatchClient(cb.get(), "B");
+
+  CpuCostSink cost;
+  uint64_t stream = ca->CreateStream(eb->address());
+  checker.ExpectDeliveries("B", stream, 1);
+  constexpr int64_t kBytes = 1 << 20;
+  ASSERT_NE(ca->SendMessage(eb->address(), stream, 0,
+                            EncodeChaosPayload(stream, 0, kBytes), &cost),
+            0u);
+  checker.StartSampling(100 * kUsec);
+  sim_->RunFor(500 * kMsec);
+  checker.StopSampling();
+  checker.CheckFinal(/*require_quiesce=*/true);
+  EXPECT_TRUE(checker.ok()) << checker.ViolationSummary();
+
+  auto msg = cb->PollMessage(&cost);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->length, kBytes);
+  auto completion = ca->PollCompletion(&cost);
+  ASSERT_TRUE(completion.has_value());
+  EXPECT_EQ(completion->status, PonyOpStatus::kOk);
+
+  int64_t data_packets = 0;
+  int64_t retransmits = 0;
+  ea->ForEachFlow([&](const Flow& f) {
+    data_packets += f.stats().data_packets_sent;
+    retransmits += f.stats().retransmits;
+  });
+  EXPECT_GE(data_packets, kBytes / PonyParams{}.mtu_payload);
+  EXPECT_LE(retransmits * 50, data_packets)
+      << retransmits << " retransmits for " << data_packets
+      << " data packets";
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 // structure (the intermediate format of Section 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "src/pony/flow.h"
 #include "src/snap/state_codec.h"
 
 namespace snap {
@@ -111,6 +116,51 @@ TEST(StateCodecTest, SizeBytesTracksBuffer) {
   EXPECT_EQ(w.size_bytes(), 0u);
   w.PutU64(1);
   EXPECT_EQ(w.size_bytes(), 9u);  // tag + 8 bytes
+}
+
+// Zero-copy message fragments (TxRecords sharing one message body) are an
+// in-memory representation only: the upgrade codec writes each fragment's
+// bytes, so the state matches a flow whose records hold copies.
+TEST(StateCodecTest, ZeroCopyFragmentsSerializeLikeCopiedData) {
+  PonyParams params;
+  constexpr uint32_t kLength = 5000;
+  std::vector<uint8_t> bytes(kLength);
+  for (uint32_t i = 0; i < kLength; ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  auto body = std::make_shared<const std::vector<uint8_t>>(bytes);
+  Flow shared({1, 10}, 0, 5, 2, TimelyParams{}, &params);
+  Flow copied({1, 10}, 0, 5, 2, TimelyParams{}, &params);
+  for (uint32_t offset = 0; offset < kLength;
+       offset += static_cast<uint32_t>(params.mtu_payload)) {
+    uint32_t len = std::min<uint32_t>(params.mtu_payload, kLength - offset);
+    TxRecord a;
+    a.header.type = PonyPacketType::kData;
+    a.header.op_id = 9;
+    a.header.stream_id = 3;
+    a.header.msg_offset = offset;
+    a.header.msg_length = kLength;
+    a.payload_bytes = static_cast<int32_t>(len);
+    a.uses_credit = true;
+    TxRecord b = a;
+    a.body = body;
+    b.data.assign(bytes.begin() + offset, bytes.begin() + offset + len);
+    shared.QueueTx(std::move(a));
+    copied.QueueTx(std::move(b));
+  }
+  // One fragment in flight on each: unacked records serialize too.
+  PacketPtr p_shared = shared.BuildNextPacket(0);
+  PacketPtr p_copied = copied.BuildNextPacket(0);
+  ASSERT_NE(p_shared, nullptr);
+  ASSERT_NE(p_copied, nullptr);
+  EXPECT_EQ(p_shared->data, p_copied->data);
+  EXPECT_EQ(p_shared->pony.crc32, p_copied->pony.crc32);
+
+  StateWriter w_shared;
+  StateWriter w_copied;
+  shared.Serialize(&w_shared);
+  copied.Serialize(&w_copied);
+  EXPECT_EQ(w_shared.buffer(), w_copied.buffer());
 }
 
 }  // namespace

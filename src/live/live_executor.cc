@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/stats/trace.h"
 #include "src/util/logging.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace snap {
 
@@ -19,25 +13,10 @@ int64_t MonotonicTimeNs() {
       .count();
 }
 
-void PinThreadToCore(int core) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core, &set);
-  // Best-effort: a container may expose fewer cores than requested; the
-  // thread still runs correctly unpinned.
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)core;
-#endif
-}
-
 LiveExecutor::LiveExecutor(uint64_t seed, int64_t epoch_ns, Options options)
     : Substrate(seed), options_(std::move(options)), epoch_ns_(epoch_ns) {
   set_now(MonotonicTimeNs() - epoch_ns_);
 }
-
-LiveExecutor::~LiveExecutor() { Stop(); }
 
 void LiveExecutor::AddEngine(Engine* engine) {
   SNAP_CHECK(!running()) << "AddEngine after Start";
@@ -61,25 +40,6 @@ EventHandle LiveExecutor::ScheduleAt(SimTime when, EventQueue::Callback cb) {
   return events_.ScheduleAt(at, std::move(cb));
 }
 
-void LiveExecutor::Start() {
-  SNAP_CHECK(!running()) << "executor already started";
-  stop_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this] { Run(); });
-}
-
-void LiveExecutor::Stop() {
-  if (!thread_.joinable()) {
-    return;
-  }
-  stop_.store(true, std::memory_order_seq_cst);
-  // Ring both bells: Wake() targets wherever wake_target_ points, which
-  // under a scheduler is a worker's doorbell, but the standalone loop
-  // parks on doorbell_ specifically.
-  Wake();
-  doorbell_.Ring();
-  thread_.join();
-}
-
 void LiveExecutor::Wake() {
   wakes_.fetch_add(1, std::memory_order_relaxed);
   wake_target_.load(std::memory_order_acquire)->Ring();
@@ -91,7 +51,7 @@ void LiveExecutor::SetWakeTarget(Doorbell* target) {
 }
 
 void LiveExecutor::MarkRunning(bool running) {
-  externally_running_.store(running, std::memory_order_release);
+  running_.store(running, std::memory_order_release);
 }
 
 int LiveExecutor::RunDueTimers(SimTime now) {
@@ -155,55 +115,11 @@ int LiveExecutor::RunPass() {
   return work;
 }
 
-void LiveExecutor::Run() {
-  if (options_.cpu_affinity >= 0) {
-    PinThreadToCore(options_.cpu_affinity);
-  }
-  SimTime last_work = MonotonicTimeNs() - epoch_ns_;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Consume the doorbell before polling: anything rung after this point
-    // triggers another full pass instead of being absorbed by this one.
-    doorbell_.Consume();
-
-    int work = RunPass();
-    SimTime after = now();
-    if (work > 0) {
-      last_work = after;
-      continue;
-    }
-    if (after - last_work < options_.spin_before_park) {
-      continue;  // busy-poll window: lowest wake latency
-    }
-    // Park, bounded by the nearest timer (fresh clock) and max_park.
-    int64_t bound = options_.max_park;
-    int64_t timer_delay = NextTimerDelayNs();
-    if (timer_delay >= 0) {
-      bound = std::min(bound, timer_delay);
-    }
-    if (bound <= 0 || doorbell_.pending() ||
-        stop_.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    if (tracer() != nullptr) {
-      tracer()->Instant(now(), TraceRecorder::kSchedTrack, "exec_park",
-                        "live_sched", TraceArgInt("bound_ns", bound));
-    }
-    bool rung = doorbell_.WaitFor(bound);
-    if (tracer() != nullptr) {
-      tracer()->Instant(MonotonicTimeNs() - epoch_ns_,
-                        TraceRecorder::kSchedTrack, "exec_wake", "live_sched",
-                        TraceArgInt("rung", rung ? 1 : 0));
-    }
-  }
-}
-
 LiveExecutor::Stats LiveExecutor::GetStats() const {
   Stats s;
   s.loop_iterations = loop_iterations_.load(std::memory_order_relaxed);
   s.work_items = work_items_.load(std::memory_order_relaxed);
   s.timer_fires = timer_fires_.load(std::memory_order_relaxed);
-  s.parks = parks_.load(std::memory_order_relaxed);
   s.wakes = wakes_.load(std::memory_order_relaxed);
   s.busy_ns = busy_ns_.load(std::memory_order_relaxed);
   return s;

@@ -69,14 +69,7 @@ LiveRuntime::LiveRuntime(const Options& options)
     host->executor_->AddEngine(host->engine_.get());
     hosts_.push_back(std::move(host));
   }
-  LiveScheduler::Options sched = options_.scheduler;
-  sched.spin_before_park_ns = options_.executor.spin_before_park;
-  sched.max_park_ns = options_.executor.max_park;
-  if (options_.pin_threads) {
-    sched.pin_threads = true;
-    sched.pin_base_core = options_.pin_base_core;
-  }
-  scheduler_ = std::make_unique<LiveScheduler>(epoch_ns_, sched);
+  scheduler_ = std::make_unique<LiveScheduler>(epoch_ns_, options_.scheduler);
   for (auto& host : hosts_) {
     if (host == nullptr) {
       continue;  // remote host: its process schedules it
@@ -199,7 +192,6 @@ void LiveRuntime::Stop() {
     t.SetCounter(base + "/loop_iterations", xs.loop_iterations);
     t.SetCounter(base + "/work_items", xs.work_items);
     t.SetCounter(base + "/timer_fires", xs.timer_fires);
-    t.SetCounter(base + "/parks", xs.parks);
     t.SetCounter(base + "/wakes", xs.wakes);
     t.SetCounter(base + "/busy_ns", xs.busy_ns);
     host->engine_->ExportQosStats(&t, base + "/qos");

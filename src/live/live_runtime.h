@@ -12,7 +12,7 @@
 //  1. Construction + client/stream setup: single-threaded. Everything that
 //     mutates engine maps — CreateClient, CreateStream on the client,
 //     QoS enablement, tracing — happens here.
-//  2. Start()..Stop(): engine threads run. Apps may only submit commands,
+//  2. Start()..Stop(): scheduler workers run. Apps may only submit commands,
 //     poll completions/messages, and read the clock.
 //  3. After Stop(): single-threaded again; stats, telemetry merges and
 //     trace extraction are exact.
@@ -40,7 +40,7 @@ namespace snap {
 
 class LiveRuntime;
 
-// One live machine: an executor thread hosting one Pony engine on one NIC.
+// One live machine: an executor hosting one Pony engine on one NIC.
 class LiveHost {
  public:
   LiveExecutor* executor() { return executor_.get(); }
@@ -85,13 +85,10 @@ class LiveRuntime {
     LiveExecutor::Options executor;
     LoopbackFabric::Options loopback;
     UdpFabric::Options udp;
-    // How executors map onto worker threads (Section 2.4 made live).
-    // Default: dedicated mode, one worker per host — the PR 9 behavior.
-    // spin_before_park/max_park are taken from `executor` above.
+    // How executors map onto worker threads (Section 2.4 made live) and
+    // the workers' idle policy. Default: dedicated mode, one worker per
+    // host.
     LiveScheduler::Options scheduler;
-    // Pin worker i to core (pin_base_core + i).
-    bool pin_threads = false;
-    int pin_base_core = 0;
     uint64_t seed = 1;
   };
 
@@ -121,7 +118,7 @@ class LiveRuntime {
   void EnableTracing();
 
   void Start();
-  void Stop();  // idempotent; joins all engine threads
+  void Stop();  // idempotent; joins the scheduler's workers
 
   // Monotonic nanoseconds since the runtime epoch — the same timeline the
   // executors and trace events use. Thread-safe.

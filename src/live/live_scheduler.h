@@ -3,7 +3,7 @@
 // SimTasks over a modeled CPU, this schedules whole LiveExecutors (one
 // per host: engines + NIC + timers) over worker threads:
 //
-//  - kDedicatedCores: one worker per executor (or per reserved core),
+//  - kDedicatedCores: one worker per executor (or dedicated_workers),
 //    each spin-polling through its idle window before parking — the
 //    lowest-latency mode, burning a core per engine.
 //  - kSpreadingEngines: one worker per executor that parks on the
@@ -58,9 +58,6 @@ class LiveScheduler {
     // than executors round-robins executors over them (the paper's
     // fair-shared dedicated variant).
     int dedicated_workers = 0;
-    // Cores to pin workers to (worker i -> cores[i % size]); empty = no
-    // pinning.
-    std::vector<int> cores;
     // Compacting mode.
     int max_workers = 4;
     int64_t compacting_slo_ns = 40'000;       // scale-out threshold
@@ -70,9 +67,11 @@ class LiveScheduler {
     // Worker idle behavior: busy-poll this long after the last productive
     // pass, then park (spreading mode forces 0 = park immediately).
     int64_t spin_before_park_ns = 50'000;
+    // Longest single park of a worker that owns executors: bounds
+    // staleness for event sources that cannot ring its doorbell (a UDP
+    // peer in another process). A worker with no executors parks until
+    // rung (an arrival or Stop()).
     int64_t max_park_ns = 100'000;
-    bool pin_threads = false;
-    int pin_base_core = 0;
   };
 
   // What the rebalancer did and why — exact post-stop, for tests and

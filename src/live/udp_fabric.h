@@ -34,7 +34,8 @@
 // sits between the socket and the transport. A send that fails with
 // EAGAIN (full socket buffer) counts every datagram it carried as a
 // fabric drop for the same reason. Peers in other processes cannot ring a
-// parked executor's doorbell; the bounded max_park covers that gap.
+// parked worker's doorbell; the scheduler's max_park_ns bound
+// (LiveScheduler::Options) covers that gap.
 #ifndef SRC_LIVE_UDP_FABRIC_H_
 #define SRC_LIVE_UDP_FABRIC_H_
 

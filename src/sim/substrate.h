@@ -5,9 +5,10 @@
 // Two implementations exist:
 //  - Simulator (src/sim/simulator.h): discrete-event time; the clock
 //    advances event by event and every run is bit-identical per seed.
-//  - LiveExecutor (src/live/live_executor.h): one pinned OS thread per
-//    engine; the clock is CLOCK_MONOTONIC nanoseconds since runtime start
-//    and timers fire from the engine thread's poll loop.
+//  - LiveExecutor (src/live/live_executor.h): a host's engines run by a
+//    LiveScheduler worker thread; the clock is CLOCK_MONOTONIC
+//    nanoseconds since runtime start and timers fire from the worker's
+//    poll loop.
 //
 // The split keeps the dataplane substrate-agnostic ("one codebase,
 // simulated and real", ROADMAP item 2): PonyEngine, RxQueue/Nic, the

@@ -1,8 +1,8 @@
 // Doorbell: a Dekker-style park/wake handshake between one waiter thread
 // and any number of ringer threads — the cross-thread wakeup primitive of
 // live mode (src/live/), factored out of LiveExecutor so the same audited
-// handshake serves executor parking, scheduler-worker parking, and the
-// application blocking-notify path (PonyClient::BindDoorbell).
+// handshake serves scheduler-worker parking and the application
+// blocking-notify path (PonyClient::BindDoorbell).
 //
 // The lost-wakeup window this closes: a ringer that publishes work and
 // rings between the waiter's "is there work?" check and its park must not

@@ -1,6 +1,6 @@
 // Doorbell (src/util/doorbell.h) tests: the Dekker park/wake handshake
-// behind every live-mode blocking path — executor parking, scheduler
-// workers, and the application completion-notify doorbell.
+// behind every live-mode blocking path — scheduler-worker parking and the
+// application completion-notify doorbell.
 //
 // The lost-wakeup audit, as a test: a ring that lands between the
 // waiter's "is there work?" check and its park must not be missed. The
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/live/live_executor.h"
+#include "src/live/live_scheduler.h"
 #include "src/util/doorbell.h"
 
 namespace snap {
@@ -126,18 +127,23 @@ TEST(DoorbellStressTest, NoLostWakeupsWithManyRingers) {
   EXPECT_EQ(bell.rings(), kTotal);
 }
 
-// Same audit one layer up: a standalone LiveExecutor parks on its
-// doorbell (spin window 0 = park immediately, max park 1 s) while a
-// producer publishes work through the poll hook and rings Wake(). A lost
-// wakeup would stall the executor up to a second per loss; 20k items with
-// scattered producer sleeps must still finish well inside the deadline.
+// Same audit one layer up: a scheduler worker running one executor parks
+// on its doorbell (spreading mode = park immediately, max park 1 s) while
+// a producer publishes work through the poll hook and rings the
+// executor's Wake(). A lost wakeup would stall the worker up to a second
+// per loss; 20k items with scattered producer sleeps must still finish
+// well inside the deadline.
 TEST(DoorbellStressTest, ExecutorParkWakeUnderProducerChurn) {
   constexpr int64_t kItems = 20'000;
+  const int64_t epoch = MonotonicTimeNs();
   LiveExecutor::Options options;
   options.name = "park-stress";
-  options.spin_before_park = 0;             // maximal park pressure
-  options.max_park = 1'000'000'000;         // 1 s: parks must be woken
-  LiveExecutor exec(/*seed=*/1, /*epoch_ns=*/MonotonicTimeNs(), options);
+  LiveExecutor exec(/*seed=*/1, epoch, options);
+  LiveScheduler::Options sched_options;
+  sched_options.mode = SchedulingMode::kSpreadingEngines;  // max pressure
+  sched_options.max_park_ns = 1'000'000'000;  // 1 s: parks must be woken
+  LiveScheduler sched(epoch, sched_options);
+  sched.AddExecutor(&exec);
 
   std::atomic<int64_t> produced{0};
   std::atomic<int64_t> consumed{0};
@@ -148,14 +154,14 @@ TEST(DoorbellStressTest, ExecutorParkWakeUnderProducerChurn) {
     consumed.store(available, std::memory_order_release);
     return static_cast<int>(batch);
   });
-  exec.Start();
+  sched.Start();
 
   std::thread producer([&] {
     for (int64_t i = 0; i < kItems; ++i) {
       produced.fetch_add(1, std::memory_order_release);
       exec.Wake();
       if (i % 257 == 0) {
-        // Outlast the (zero) spin window so the executor really parks.
+        // Outlast the (zero) spin window so the worker really parks.
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
@@ -167,13 +173,14 @@ TEST(DoorbellStressTest, ExecutorParkWakeUnderProducerChurn) {
          MonotonicTimeNs() < deadline) {
     std::this_thread::yield();
   }
-  exec.Stop();
+  sched.Stop();
 
   EXPECT_EQ(consumed.load(std::memory_order_acquire), kItems)
       << "executor stalled: lost wakeup";
   LiveExecutor::Stats stats = exec.GetStats();
   EXPECT_GE(stats.work_items, kItems);
-  EXPECT_GT(stats.parks, 0) << "stress never exercised the park path";
+  EXPECT_GT(sched.GetWorkerStats(0).parks, 0)
+      << "stress never exercised the park path";
   EXPECT_GT(stats.wakes, 0);
 }
 

@@ -6,7 +6,6 @@
 // same transport, same observable message counts.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -93,18 +92,18 @@ TEST(LiveExecutorTest, FiresTimersAndClampsPastDeadlines) {
   LiveExecutor::Options options;
   options.name = "timer-test";
   LiveExecutor exec(/*seed=*/1, /*epoch_ns=*/MonotonicTimeNs(), options);
-  std::atomic<int> fired{0};
-  // Deadline 0 is in the past once the thread starts (the sim would
-  // CHECK-fail here; live clamps and fires on the first loop pass).
-  exec.ScheduleAt(0, [&] { fired.fetch_add(1); });
-  exec.Schedule(1 * kMsec, [&] { fired.fetch_add(1); });
-  exec.Start();
+  int fired = 0;
+  // Deadline 0 is in the past by the first pass (the sim would CHECK-fail
+  // here; live clamps and fires on the first pass).
+  exec.ScheduleAt(0, [&] { ++fired; });
+  exec.Schedule(1 * kMsec, [&] { ++fired; });
+  // The test thread is the executor's one running thread.
   int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
-  while (fired.load() < 2 && MonotonicTimeNs() < deadline) {
+  while (fired < 2 && MonotonicTimeNs() < deadline) {
+    exec.RunPass();
     std::this_thread::yield();
   }
-  exec.Stop();
-  EXPECT_EQ(fired.load(), 2);
+  EXPECT_EQ(fired, 2);
   LiveExecutor::Stats stats = exec.GetStats();
   EXPECT_EQ(stats.timer_fires, 2);
   EXPECT_GT(stats.loop_iterations, 0);

@@ -437,6 +437,7 @@ int Main(int argc, char** argv) {
       int64_t first_packets = -1;
       int64_t first_rpcs = -1;
       double serial_wall = 0;
+      double best_wall = 0;
       for (int shards : shard_counts) {
         ScalingPoint p = MeasureShardedRack(hosts, shards, sc_warmup,
                                             sc_window);
@@ -455,6 +456,7 @@ int Main(int argc, char** argv) {
         }
         p.speedup_wall =
             p.m.wall_sec > 0 ? serial_wall / p.m.wall_sec : 0;
+        best_wall = std::max(best_wall, p.speedup_wall);
         if (hosts == rack_sizes.back() && shards == shard_counts.back()) {
           scaling_speedup_best = p.speedup_cp;
         }
@@ -474,12 +476,14 @@ int Main(int argc, char** argv) {
         scaling.push_back(p);
       }
       if (hw_cores < shard_counts.back()) {
-        // Soft gate only: wall-clock numbers on an undersized runner
-        // time-slice shards onto too few cores; the critical-path ratio
-        // is the machine-independent scaling signal.
-        std::printf("  note: %d hw cores < %d shards; wall-clock speedups "
-                    "above are core-starved (cp-speedup is the signal)\n",
-                    hw_cores, shard_counts.back());
+        // Soft gate only: on an undersized runner the shards time-slice
+        // onto too few cores. Wall clock is still the measurement; the
+        // critical-path ratio models an ideal machine with a core per
+        // shard.
+        std::printf("  note: best wall-clock speedup %4.2fx on %d hw "
+                    "cores < %d shards (core-starved); cp-speedup is the "
+                    "ideal-machine bound, not a measurement\n",
+                    best_wall, hw_cores, shard_counts.back());
       }
     }
     std::printf("  rack scaling parity (packets+rpcs invariant across "

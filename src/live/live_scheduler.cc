@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -14,7 +15,9 @@ namespace snap {
 constexpr int64_t kParkUntilRungNs = 3600 * kSec;
 
 LiveScheduler::LiveScheduler(int64_t epoch_ns, Options options)
-    : options_(std::move(options)), epoch_ns_(epoch_ns) {}
+    : options_(std::move(options)),
+      epoch_ns_(epoch_ns),
+      policy_(options_.compacting_slo_ns) {}
 
 LiveScheduler::~LiveScheduler() { Stop(); }
 
@@ -88,11 +91,10 @@ void LiveScheduler::Start() {
   }
 
   owner_.clear();
-  target_.assign(n, 0);
-  calm_ticks_.assign(n, 0);
+  placement_.assign(static_cast<size_t>(num_workers), {});
   for (int e = 0; e < n; ++e) {
     int w = InitialWorkerFor(e);
-    target_[e] = w;
+    placement_[static_cast<size_t>(w)].push_back(e);
     owner_.push_back(std::make_unique<std::atomic<int>>(w));
     workers_[w]->local.push_back(executors_[e]);
     workers_[w]->local_index.push_back(e);
@@ -249,28 +251,22 @@ void LiveScheduler::WorkerLoop(Worker* w) {
   }
 }
 
-void LiveScheduler::RequestMove(int exec_index, int from_worker,
-                                int to_worker, Decision::Kind kind,
-                                int64_t observed_delay_ns) {
-  target_[exec_index] = to_worker;
-  decisions_.push_back(Decision{kind, exec_index, from_worker, to_worker,
-                                observed_delay_ns,
-                                MonotonicTimeNs() - epoch_ns_});
-  Worker* from = workers_[from_worker].get();
+void LiveScheduler::RequestMove(const Decision& decision) {
+  decisions_.push_back(decision);
+  Worker* from = workers_[decision.from].get();
   {
     std::lock_guard<std::mutex> lock(from->mu);
     from->moves.push_back(
-        Move{executors_[exec_index], exec_index, to_worker});
+        Move{executors_[decision.engine], decision.engine, decision.to});
     from->commands_pending.store(true, std::memory_order_release);
   }
   from->doorbell.Ring();
 }
 
 void LiveScheduler::ControlLoop() {
-  const int n = static_cast<int>(executors_.size());
-  const int num_workers = static_cast<int>(workers_.size());
   const bool rebalance =
-      options_.mode == SchedulingMode::kCompactingEngines && num_workers > 1;
+      options_.mode == SchedulingMode::kCompactingEngines &&
+      workers_.size() > 1;
   int64_t tick_ns = options_.rebalance_interval_ns;
   if (!profile_path_.empty() && profile_interval_ms_ > 0) {
     tick_ns = std::min(tick_ns, int64_t{profile_interval_ms_} * 1'000'000);
@@ -283,57 +279,19 @@ void LiveScheduler::ControlLoop() {
     if (stop_.load(std::memory_order_relaxed)) {
       break;
     }
-    if (rebalance) {
-      // Per-target executor counts: the rebalancer's own view of the
-      // placement (in-flight moves count at their destination).
-      std::vector<int> load(static_cast<size_t>(num_workers), 0);
-      for (int e = 0; e < n; ++e) {
-        ++load[static_cast<size_t>(target_[e])];
-      }
-      for (int e = 0; e < n; ++e) {
-        const int own = owner_[static_cast<size_t>(e)]->load(
-            std::memory_order_acquire);
-        if (own != target_[e]) {
-          continue;  // move in flight; let it land first
-        }
-        const int64_t delay = executors_[static_cast<size_t>(e)]
-                                  ->queue_delay_ns();
-        if (delay > options_.compacting_slo_ns) {
-          calm_ticks_[static_cast<size_t>(e)] = 0;
-          if (load[static_cast<size_t>(own)] < 2) {
-            continue;  // already alone on its worker: nothing to shed
-          }
-          // Scale out: move the overloaded executor to the emptiest
-          // other worker.
-          int to = -1;
-          for (int cand = 0; cand < num_workers; ++cand) {
-            if (cand == own) {
-              continue;
-            }
-            if (to < 0 ||
-                load[static_cast<size_t>(cand)] <
-                    load[static_cast<size_t>(to)]) {
-              to = cand;
-            }
-          }
-          if (to >= 0 && load[static_cast<size_t>(to)] <
-                             load[static_cast<size_t>(own)]) {
-            --load[static_cast<size_t>(own)];
-            ++load[static_cast<size_t>(to)];
-            RequestMove(e, own, to, Decision::kScaleOut, delay);
-          }
-        } else {
-          if (own == 0) {
-            continue;  // already on the primary
-          }
-          if (++calm_ticks_[static_cast<size_t>(e)] >=
-              options_.compact_after_samples) {
-            calm_ticks_[static_cast<size_t>(e)] = 0;
-            --load[static_cast<size_t>(own)];
-            ++load[0];
-            RequestMove(e, own, 0, Decision::kCompact, delay);
-          }
-        }
+    // Only the newest move can differ from placement_: none is issued
+    // before the previous one lands (its destination publishes owner_).
+    const bool settled =
+        decisions_.empty() ||
+        owner_[decisions_.back().engine]->load(std::memory_order_acquire) ==
+            decisions_.back().to;
+    if (rebalance && settled) {
+      std::optional<Decision> decision =
+          policy_.Decide(placement_, [this](int e) {
+            return executors_[e]->queue_delay_ns();
+          });
+      if (decision) {
+        RequestMove(*decision);
       }
     }
     if (!profile_path_.empty() && profile_interval_ms_ > 0 &&

@@ -10,11 +10,11 @@
 //    doorbell IMMEDIATELY when idle (no spin window) and wakes on
 //    submit/packet arrival — the scale-to-zero mode.
 //  - kCompactingEngines: a bounded worker pool; all executors start
-//    compacted on worker 0 and a rebalancer thread scales out when an
-//    executor's queueing delay exceeds the SLO (40 µs default), then
-//    compacts back when load subsides — Shenango-style, using the
-//    executors' busy_ns/queue_delay_ns load signals (the live analogue
-//    of the PR 8 shard profiler's busy/wait split).
+//    compacted on worker 0 and a rebalancer thread runs the same
+//    CompactingPolicy as the sim's CompactingGroup (src/snap/
+//    engine_group.h) over the executors' queue_delay_ns: one move per
+//    tick, scaling out the worst executor past the SLO (40 µs default)
+//    and compacting back after calm ticks — Shenango-style.
 //
 // Migration protocol (compacting): executors move between workers only
 // at pass boundaries. The rebalancer is the SOLE mover: it appends a
@@ -25,9 +25,9 @@
 // mailbox — so engine/NIC/timer state always passes between threads
 // through a mutex (happens-before), and exactly one thread runs an
 // executor at any moment. owner_[exec] (written by the receiving
-// worker) vs target_[exec] (rebalancer-only) tracks moves in flight;
-// the rebalancer never issues a second move for an executor whose first
-// has not landed.
+// worker) vs placement_ (rebalancer-only) tracks moves in flight; the
+// rebalancer skips every tick while a move has not landed, so at most
+// one move is in flight at a time.
 //
 // Each worker owns a TraceRecorder (single-writer) for its park/wake
 // and migration instants; LiveRuntime merges them after Stop() on
@@ -62,8 +62,6 @@ class LiveScheduler {
     int max_workers = 4;
     int64_t compacting_slo_ns = 40'000;       // scale-out threshold
     int64_t rebalance_interval_ns = 200'000;  // rebalancer tick
-    // Consecutive under-SLO ticks before compacting an executor back.
-    int compact_after_samples = 8;
     // Worker idle behavior: busy-poll this long after the last productive
     // pass, then park (spreading mode forces 0 = park immediately).
     int64_t spin_before_park_ns = 50'000;
@@ -74,17 +72,9 @@ class LiveScheduler {
     int64_t max_park_ns = 100'000;
   };
 
-  // What the rebalancer did and why — exact post-stop, for tests and
-  // docs-grade telemetry.
-  struct Decision {
-    enum Kind { kScaleOut, kCompact };
-    Kind kind;
-    int executor;
-    int from_worker;
-    int to_worker;
-    int64_t observed_delay_ns;  // queueing delay that triggered it
-    int64_t at_ns;              // executor-epoch timestamp
-  };
+  // What the rebalancer did and why (engine = executor index) — exact
+  // post-stop, for tests and docs-grade telemetry.
+  using Decision = CompactingPolicy<int>::Move;
 
   struct WorkerStats {
     int64_t passes = 0;
@@ -172,8 +162,7 @@ class LiveScheduler {
   void WorkerLoop(Worker* w);
   void DrainMailbox(Worker* w);
   void ControlLoop();
-  void RequestMove(int exec_index, int from_worker, int to_worker,
-                   Decision::Kind kind, int64_t observed_delay_ns);
+  void RequestMove(const Decision& decision);
   int InitialWorkerFor(int exec_index) const;
 
   Options options_;
@@ -182,12 +171,12 @@ class LiveScheduler {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // owner_[e]: worker currently running executor e (written by the worker
-  // that receives it); target_[e]: where the rebalancer last sent it
-  // (rebalancer/setup only). owner != target => move in flight.
+  // that receives it); placement_[w]: the executors the rebalancer last
+  // sent to worker w (rebalancer/setup only). An executor whose owner is
+  // not its placement has a move in flight.
   std::vector<std::unique_ptr<std::atomic<int>>> owner_;
-  std::vector<int> target_;
-  // Consecutive under-SLO rebalancer ticks per executor (rebalancer only).
-  std::vector<int> calm_ticks_;
+  std::vector<std::vector<int>> placement_;
+  CompactingPolicy<int> policy_;
 
   std::thread control_thread_;
   Doorbell control_doorbell_;

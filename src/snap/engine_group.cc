@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 
 #include "src/util/logging.h"
 
@@ -280,7 +279,8 @@ class SpreadingGroup : public EngineGroup {
 // ---------------------------------------------------------------------------
 // Compacting engines: engines multiplexed onto as few threads as possible;
 // a rebalancer (run from the primary worker) polls engine queueing delays
-// against an SLO and scales out / compacts / swaps (Section 2.4).
+// against an SLO and scales out / compacts one engine per round under the
+// CompactingPolicy it shares with the live scheduler (Section 2.4).
 // ---------------------------------------------------------------------------
 class CompactingGroup : public EngineGroup {
  public:
@@ -289,8 +289,10 @@ class CompactingGroup : public EngineGroup {
       : name_(std::move(name)),
         sim_(sim),
         sched_(sched),
-        options_(options) {
+        options_(options),
+        policy_(options.compacting_slo) {
     SNAP_CHECK_GT(options.max_workers, 0);
+    placement_.resize(static_cast<size_t>(options.max_workers));
     for (int i = 0; i < options.max_workers; ++i) {
       auto w = std::make_unique<Worker>(
           name_ + "/worker" + std::to_string(i), this, i);
@@ -305,20 +307,17 @@ class CompactingGroup : public EngineGroup {
   }
 
   void AddEngine(Engine* engine) override {
-    workers_.front()->engines.push_back(engine);
+    placement_.front().push_back(engine);
     InstallPollHistogram(sim_, engine);
-    owner_[engine] = 0;
     CompactingGroup* group = this;
     engine->SetWakeHook([group, engine] { group->OnEngineWork(engine); });
     sched_->Wake(workers_.front().get(), /*remote=*/false);
   }
 
   void RemoveEngine(Engine* engine) override {
-    for (auto& w : workers_) {
-      auto& v = w->engines;
+    for (auto& v : placement_) {
       v.erase(std::remove(v.begin(), v.end(), engine), v.end());
     }
-    owner_.erase(engine);
     engine->SetWakeHook(nullptr);
   }
 
@@ -335,16 +334,13 @@ class CompactingGroup : public EngineGroup {
 
   int active_workers() const {
     int n = 0;
-    for (const auto& w : workers_) {
-      if (!w->engines.empty()) {
+    for (const auto& engines : placement_) {
+      if (!engines.empty()) {
         ++n;
       }
     }
     return n;
   }
-
-  int64_t rebalance_scale_outs() const { return scale_outs_; }
-  int64_t rebalance_compactions() const { return compactions_; }
 
  private:
   class Worker : public SimTask {
@@ -358,6 +354,7 @@ class CompactingGroup : public EngineGroup {
 
     StepResult Step(SimTime now, SimDuration budget_ns) override {
       StepResult out;
+      std::vector<Engine*>& engines = group_->placement_[index_];
       Engine::PollResult r =
           PollEngines(group_->sim_, engines, &cursor_, now, budget_ns);
       out.cpu_ns = r.cpu_ns;
@@ -382,10 +379,7 @@ class CompactingGroup : public EngineGroup {
       return out;
     }
 
-    std::vector<Engine*> engines;
-
    private:
-    friend class CompactingGroup;
     CompactingGroup* group_;
     int index_;
     size_t cursor_ = 0;
@@ -394,96 +388,48 @@ class CompactingGroup : public EngineGroup {
   };
 
   void OnEngineWork(Engine* engine) {
-    auto it = owner_.find(engine);
-    if (it == owner_.end()) {
-      return;
+    for (size_t w = 0; w < placement_.size(); ++w) {
+      const auto& v = placement_[w];
+      if (std::find(v.begin(), v.end(), engine) != v.end()) {
+        sched_->Wake(workers_[w].get(), /*remote=*/true);
+        return;
+      }
     }
-    sched_->Wake(workers_[it->second].get(), /*remote=*/true);
   }
 
-  // One rebalancer pass; returns its modeled CPU cost.
+  // One rebalancer pass; returns its modeled CPU cost. A move publishes a
+  // telemetry counter, a trace instant and the evolving active-worker
+  // count as a trace counter series.
   SimDuration Rebalance(SimTime now) {
+    size_t num_engines = 0;
+    for (const auto& v : placement_) {
+      num_engines += v.size();
+    }
     SimDuration cost = kRebalanceBaseCost +
                        kRebalancePerEngineCost *
-                           static_cast<SimDuration>(owner_.size());
-    // Find the engine with the worst queueing delay.
-    Engine* worst = nullptr;
-    SimDuration worst_delay = 0;
-    SimDuration total_delay = 0;
-    for (auto& [engine, worker] : owner_) {
-      SimDuration d = engine->QueueingDelay(now);
-      total_delay += d;
-      if (d > worst_delay) {
-        worst_delay = d;
-        worst = engine;
-      }
-    }
-    if (worst != nullptr && worst_delay > options_.compacting_slo) {
-      // Scale out: move the worst engine off a shared worker to the
-      // emptiest other worker (waking it if necessary).
-      int from = owner_[worst];
-      if (workers_[from]->engines.size() > 1) {
-        int to = -1;
-        size_t fewest = SIZE_MAX;
-        for (int i = 0; i < static_cast<int>(workers_.size()); ++i) {
-          if (i == from) {
-            continue;
-          }
-          if (workers_[i]->engines.size() < fewest) {
-            fewest = workers_[i]->engines.size();
-            to = i;
-          }
-        }
-        if (to >= 0 && fewest < workers_[from]->engines.size()) {
-          MoveEngine(worst, from, to);
-          ++scale_outs_;
-          NoteRebalance(now, "scale_out", worst);
-          sched_->Wake(workers_[to].get(), /*remote=*/true);
-        }
-      }
-      idle_rounds_ = 0;
+                           static_cast<SimDuration>(num_engines);
+    std::optional<CompactingPolicy<Engine*>::Move> move = policy_.Decide(
+        placement_, [now](Engine* e) { return e->QueueingDelay(now); });
+    if (!move) {
       return cost;
     }
-    // Compaction: after consecutive low-load rounds, migrate an engine from
-    // the busiest secondary back toward the primary.
-    if (total_delay < options_.compacting_slo / 4) {
-      if (++idle_rounds_ >= 4) {
-        idle_rounds_ = 0;
-        for (int i = static_cast<int>(workers_.size()) - 1; i >= 1; --i) {
-          if (!workers_[i]->engines.empty()) {
-            Engine* moved = workers_[i]->engines.back();
-            MoveEngine(moved, i, 0);
-            ++compactions_;
-            NoteRebalance(now, "compaction", moved);
-            break;
-          }
-        }
-      }
-    } else {
-      idle_rounds_ = 0;
-    }
-    return cost;
-  }
-
-  // Publishes one rebalancer decision: telemetry counter, trace instant,
-  // and the evolving active-worker count as a trace counter series.
-  void NoteRebalance(SimTime now, const char* kind, Engine* engine) {
+    const bool scale_out =
+        move->kind == CompactingPolicy<Engine*>::Move::kScaleOut;
+    const char* kind = scale_out ? "scale_out" : "compaction";
     sim_->telemetry()
         .GetCounter("snap/" + name_ + "/rebalance/" + kind + "s")
         ->Increment();
     if (TraceRecorder* tracer = sim_->tracer()) {
       tracer->Instant(now, TraceRecorder::kSchedTrack,
-                      std::string("rebalance_") + kind + ":" + engine->name(),
+                      std::string("rebalance_") + kind + ":" +
+                          move->engine->name(),
                       "sched");
       tracer->CounterValue(now, name_ + "/active_workers", active_workers());
     }
-  }
-
-  void MoveEngine(Engine* engine, int from, int to) {
-    auto& src = workers_[from]->engines;
-    src.erase(std::remove(src.begin(), src.end(), engine), src.end());
-    workers_[to]->engines.push_back(engine);
-    owner_[engine] = to;
+    if (scale_out) {
+      sched_->Wake(workers_[move->to].get(), /*remote=*/true);
+    }
+    return cost;
   }
 
   std::string name_;
@@ -491,10 +437,9 @@ class CompactingGroup : public EngineGroup {
   CpuScheduler* sched_;
   Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::map<Engine*, int> owner_;
-  int idle_rounds_ = 0;
-  int64_t scale_outs_ = 0;
-  int64_t compactions_ = 0;
+  // placement_[w]: engines on worker w, oldest arrival first.
+  std::vector<std::vector<Engine*>> placement_;
+  CompactingPolicy<Engine*> policy_;
 };
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "src/sim/cpu.h"
 #include "src/snap/engine_group.h"
@@ -66,6 +68,157 @@ class EngineGroupTest : public ::testing::Test {
   CpuParams params_;
   std::unique_ptr<CpuScheduler> sched_;
 };
+
+// ---------------------------------------------------------------------------
+// CompactingPolicy in isolation (E = int engine ids, SLO = 100 ns): the one
+// copy of the rebalancing rules both the sim and live schedulers run.
+// ---------------------------------------------------------------------------
+using IntPolicy = CompactingPolicy<int>;
+using Placement = std::vector<std::vector<int>>;
+constexpr int64_t kPolicySlo = 100;
+
+// One rebalancer round from a fresh policy.
+struct PolicyCase {
+  const char* name;
+  Placement placement;
+  std::vector<int64_t> delay;  // indexed by engine id
+  bool moves;
+  IntPolicy::Move expected;  // checked when `moves`
+  Placement after;
+};
+
+TEST(CompactingPolicyTest, OneRoundDecisions) {
+  const PolicyCase cases[] = {
+      {"worst shared engine moves to the emptiest worker, lowest index",
+       {{0, 1, 2}, {3}, {}, {}},
+       {10, 500, 20, 0},
+       true,
+       {IntPolicy::Move::kScaleOut, 1, 0, 2, 500},
+       {{0, 2}, {3}, {1}, {}}},
+      {"emptiest other worker need not be empty",
+       {{0, 1, 2}, {3, 4}, {5}},
+       {0, 0, 0, 0, 900, 0},
+       true,
+       {IntPolicy::Move::kScaleOut, 4, 1, 2, 900},
+       {{0, 1, 2}, {3}, {5, 4}}},
+      {"worst engine alone on its worker: no move",
+       {{0}, {1, 2}, {}},
+       {500, 10, 10},
+       false,
+       {},
+       {{0}, {1, 2}, {}}},
+      {"no other worker has fewer engines: no move",
+       {{0, 1}, {2, 3}},
+       {500, 0, 0, 0},
+       false,
+       {},
+       {{0, 1}, {2, 3}}},
+      {"single worker: nowhere to scale out",
+       {{0, 1}},
+       {500, 500},
+       false,
+       {},
+       {{0, 1}}},
+      {"equal worst delays: first engine in placement order",
+       {{2, 0}, {1}, {}},
+       {300, 300, 300},
+       true,
+       {IntPolicy::Move::kScaleOut, 2, 0, 2, 300},
+       {{0}, {1}, {2}}},
+      {"delay at the SLO is not over it",
+       {{0, 1}, {}},
+       {kPolicySlo, 0},
+       false,
+       {},
+       {{0, 1}, {}}},
+  };
+  for (const PolicyCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    IntPolicy policy(kPolicySlo);
+    Placement placement = c.placement;
+    std::optional<IntPolicy::Move> move = policy.Decide(
+        placement, [&c](int e) { return c.delay[static_cast<size_t>(e)]; });
+    ASSERT_EQ(move.has_value(), c.moves);
+    if (c.moves) {
+      EXPECT_EQ(move->kind, c.expected.kind);
+      EXPECT_EQ(move->engine, c.expected.engine);
+      EXPECT_EQ(move->from, c.expected.from);
+      EXPECT_EQ(move->to, c.expected.to);
+      EXPECT_EQ(move->delay_ns, c.expected.delay_ns);
+    }
+    EXPECT_EQ(placement, c.after);
+  }
+}
+
+// Runs `rounds` rounds with every engine at `delay` and returns how many
+// of them moved something.
+int RunRounds(IntPolicy* policy, Placement* placement, int rounds,
+              int64_t delay) {
+  int moves = 0;
+  for (int i = 0; i < rounds; ++i) {
+    if (policy->Decide(*placement, [delay](int) { return delay; })) {
+      ++moves;
+    }
+  }
+  return moves;
+}
+
+TEST(CompactingPolicyTest, FourthCalmRoundCompactsNewestOnHighestSecondary) {
+  IntPolicy policy(kPolicySlo);
+  Placement placement = {{0}, {1, 2}, {3, 4}, {}};
+  // Summed delay 5 x 4 = 20 < SLO/4 = 25: calm.
+  EXPECT_EQ(RunRounds(&policy, &placement, IntPolicy::kCalmRounds - 1, 4),
+            0);
+  EXPECT_EQ(placement, (Placement{{0}, {1, 2}, {3, 4}, {}}));
+  std::optional<IntPolicy::Move> move =
+      policy.Decide(placement, [](int) { return int64_t{4}; });
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->kind, IntPolicy::Move::kCompact);
+  EXPECT_EQ(move->engine, 4);
+  EXPECT_EQ(move->from, 2);
+  EXPECT_EQ(move->to, 0);
+  EXPECT_EQ(move->delay_ns, 20);
+  EXPECT_EQ(placement, (Placement{{0, 4}, {1, 2}, {3}, {}}));
+  // The count restarts after a compaction.
+  EXPECT_EQ(RunRounds(&policy, &placement, IntPolicy::kCalmRounds - 1, 0),
+            0);
+  EXPECT_EQ(RunRounds(&policy, &placement, 1, 0), 1);
+  EXPECT_EQ(placement, (Placement{{0, 4, 3}, {1, 2}, {}, {}}));
+}
+
+TEST(CompactingPolicyTest, LoudRoundResetsCalmCount) {
+  // Loud: summed delay 2 x 13 = 26 >= SLO/4 with no engine over the SLO,
+  // or both engines over it but each alone on its worker. Neither moves.
+  for (int64_t loud : {int64_t{13}, 2 * kPolicySlo}) {
+    SCOPED_TRACE(loud);
+    IntPolicy policy(kPolicySlo);
+    Placement placement = {{0}, {1}};
+    EXPECT_EQ(RunRounds(&policy, &placement, IntPolicy::kCalmRounds - 1, 0),
+              0);
+    EXPECT_EQ(RunRounds(&policy, &placement, 1, loud), 0);
+    EXPECT_EQ(RunRounds(&policy, &placement, IntPolicy::kCalmRounds - 1, 0),
+              0);
+    EXPECT_EQ(placement, (Placement{{0}, {1}}));
+    EXPECT_EQ(RunRounds(&policy, &placement, 1, 0), 1);
+    EXPECT_EQ(placement, (Placement{{0, 1}, {}}));
+  }
+}
+
+TEST(CompactingPolicyTest, ScaleOutThenCompactBackRestoresPlacement) {
+  IntPolicy policy(kPolicySlo);
+  Placement placement = {{0, 1}, {}};
+  std::vector<int64_t> delay = {0, 400};
+  auto delay_of = [&delay](int e) { return delay[static_cast<size_t>(e)]; };
+  std::optional<IntPolicy::Move> out = policy.Decide(placement, delay_of);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->kind, IntPolicy::Move::kScaleOut);
+  EXPECT_EQ(placement, (Placement{{0}, {1}}));
+  // Still over the SLO but alone: it stays put.
+  EXPECT_FALSE(policy.Decide(placement, delay_of).has_value());
+  delay = {0, 0};
+  EXPECT_EQ(RunRounds(&policy, &placement, IntPolicy::kCalmRounds, 0), 1);
+  EXPECT_EQ(placement, (Placement{{0, 1}, {}}));
+}
 
 TEST_F(EngineGroupTest, DedicatedServicesWorkPromptly) {
   Init(2);
@@ -174,6 +327,9 @@ TEST_F(EngineGroupTest, CompactingStartsOnPrimaryAndScalesOut) {
   }
   EXPECT_EQ(a.serviced(), 20);
   EXPECT_EQ(b.serviced(), 20);
+  Counter* scale_outs =
+      sim_.telemetry().GetCounter("snap/g/rebalance/scale_outs");
+  EXPECT_EQ(scale_outs->value(), 0);
 
   // Overload both engines: queueing delay exceeds the SLO; the rebalancer
   // must scale an engine out to another worker.
@@ -185,6 +341,7 @@ TEST_F(EngineGroupTest, CompactingStartsOnPrimaryAndScalesOut) {
   sim_.RunFor(10 * kMsec);
   EXPECT_EQ(a.serviced(), 20 + 1200);
   EXPECT_EQ(b.serviced(), 20 + 1200);
+  EXPECT_GE(scale_outs->value(), 1);
 }
 
 TEST_F(EngineGroupTest, CompactingPrimarySpinsForLowLatencyWhenIdle) {

@@ -215,9 +215,9 @@ TEST(LiveSchedTest, CompactingEchoCompletesWithAllExecutorsPolled) {
 
   LiveScheduler* sched = runtime.scheduler();
   for (const LiveScheduler::Decision& d : sched->decisions()) {
-    EXPECT_NE(d.from_worker, d.to_worker);
-    EXPECT_GE(d.executor, 0);
-    EXPECT_LT(d.executor, 4);
+    EXPECT_NE(d.from, d.to);
+    EXPECT_GE(d.engine, 0);
+    EXPECT_LT(d.engine, 4);
   }
   // Every executor ran somewhere; placement counters survive whatever
   // migrations happened.
@@ -285,8 +285,8 @@ class LoadEngine : public Engine {
 
 // The migration protocol itself: two executors compacted on worker 0;
 // one breaches the SLO -> the rebalancer scales it out to worker 1
-// (recording the observed delay); load subsides -> after the calm window
-// it compacts back to worker 0. Both cross-thread handoffs land within
+// (recording the observed delay); load subsides -> after
+// CompactingPolicy::kCalmRounds calm ticks it compacts back to worker 0. Both cross-thread handoffs land within
 // the deadline, the moved executor accrues passes on both workers, and
 // no two threads ever polled an engine simultaneously.
 TEST(LiveSchedTest, CompactingMigratesOnSloBreachAndCompactsBack) {
@@ -295,7 +295,6 @@ TEST(LiveSchedTest, CompactingMigratesOnSloBreachAndCompactsBack) {
   options.max_workers = 2;
   options.compacting_slo_ns = 40'000;
   options.rebalance_interval_ns = 100'000;
-  options.compact_after_samples = 3;
 
   int64_t epoch = MonotonicTimeNs();
   LiveExecutor::Options exec_options;
@@ -334,14 +333,15 @@ TEST(LiveSchedTest, CompactingMigratesOnSloBreachAndCompactsBack) {
   bool scaled_out = false;
   bool compacted = false;
   for (const LiveScheduler::Decision& d : sched.decisions()) {
-    EXPECT_NE(d.from_worker, d.to_worker);
+    EXPECT_NE(d.from, d.to);
     if (d.kind == LiveScheduler::Decision::kScaleOut) {
       scaled_out = true;
-      EXPECT_EQ(d.executor, 1);
-      EXPECT_GE(d.observed_delay_ns, options.compacting_slo_ns);
+      EXPECT_EQ(d.engine, 1);
+      EXPECT_GT(d.delay_ns, options.compacting_slo_ns);
     } else {
       compacted = true;
-      EXPECT_EQ(d.to_worker, 0);
+      EXPECT_EQ(d.engine, 1);
+      EXPECT_EQ(d.to, 0);
     }
   }
   EXPECT_TRUE(scaled_out);

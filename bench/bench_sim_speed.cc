@@ -31,6 +31,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bench/bench_common.h"
 #include "bench/rpc_rack.h"
 #include "bench/sharded_rack.h"
@@ -81,6 +83,7 @@ struct Measurement {
   int64_t allocs = 0;   // global operator new calls during the run
   int64_t packets = 0;  // fabric deliveries (rack only)
   double sim_sec = 0;   // simulated seconds covered (rack only)
+  double peak_rss_mb = 0;  // process peak RSS when the case ended (rack only)
 
   double events_per_sec() const {
     return wall_sec > 0 ? static_cast<double>(events) / wall_sec : 0;
@@ -97,6 +100,13 @@ struct Measurement {
     return wall_sec > 0 ? static_cast<double>(packets) / wall_sec : 0;
   }
 };
+
+// The process's peak resident set so far, in MB (ru_maxrss is in KB).
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 class Timed {
  public:
@@ -209,6 +219,9 @@ void PrintMeasurement(const char* name, const Measurement& m) {
   if (m.packets > 0) {
     std::printf("  %8.2fM pkt/s", m.packets_per_sec() / 1e6);
   }
+  if (m.peak_rss_mb > 0) {
+    std::printf("  %6.1f MB peak RSS", m.peak_rss_mb);
+  }
   std::printf("\n");
 }
 
@@ -221,12 +234,12 @@ void JsonMeasurement(FILE* f, const Measurement& m) {
                "\"ns_per_event\": %.3f, \"allocs\": %lld, "
                "\"allocs_per_event\": %.4f, "
                "\"packets\": %lld, \"packets_per_sec\": %.1f, "
-               "\"sim_sec\": %.6f}\n",
+               "\"sim_sec\": %.6f, \"peak_rss_mb\": %.1f}\n",
                m.wall_sec, static_cast<long long>(m.events),
                m.events_per_sec(), m.ns_per_event(),
                static_cast<long long>(m.allocs), m.allocs_per_event(),
                static_cast<long long>(m.packets), m.packets_per_sec(),
-               m.sim_sec);
+               m.sim_sec, m.peak_rss_mb);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,10 +386,12 @@ int Main(int argc, char** argv) {
   // The rack workload runs first: it is the headline comparison against
   // the recorded pre-PR baseline, which was measured on a cold machine.
   // Running it after seconds of churn load would measure it on a
-  // thermally throttled core that the baseline never saw.
+  // thermally throttled core that the baseline never saw. Running first
+  // also makes the process peak RSS at its end the rack's own.
   cases[0].name = "rack_fig6b";
   if (want(cases[0].name)) {
     cases[0].m = MeasureRack(rack_warmup, rack_window);
+    cases[0].m.peak_rss_mb = PeakRssMb();
   }
   cases[1].name = "event_churn";
   if (want(cases[1].name)) {
@@ -405,6 +420,8 @@ int Main(int argc, char** argv) {
   double scaling_speedup_best = 0;
   ScalingPoint prof_point;
   double profiler_overhead_pct = 0;
+  double profiler_overhead_min_pct = 0;
+  double profiler_overhead_max_pct = 0;
   bool have_profiler = false;
   std::string profile_json;
   if (want("rack_scaling")) {
@@ -497,8 +514,10 @@ int Main(int argc, char** argv) {
     // differ by 15-30% from machine noise alone — far more than the
     // effect being measured — so pairing controls for load drift and the
     // median discards the odd trial a noisy neighbour lands on. The
-    // acceptance bar is <= 5% events/sec; the number is recorded in the
-    // JSON so tools/bench_trajectory.py tracks it across PRs.
+    // acceptance bar is <= 5% events/sec; the median and the trials'
+    // min and max are recorded in the JSON so tools/bench_trajectory.py
+    // tracks the overhead across PRs and can tell when the trials spread
+    // too wide to resolve the bar.
     if (!scaling.empty()) {
       const ScalingPoint& largest = scaling.back();
       SimDuration pw, pn;
@@ -536,10 +555,13 @@ int Main(int argc, char** argv) {
       std::sort(pair_overhead_pct.begin(), pair_overhead_pct.end());
       profiler_overhead_pct =
           pair_overhead_pct[pair_overhead_pct.size() / 2];
-      std::printf("  profiler overhead (%d hosts, %d shards, median of %d "
-                  "paired trials): %+.2f%%\n",
+      profiler_overhead_min_pct = pair_overhead_pct.front();
+      profiler_overhead_max_pct = pair_overhead_pct.back();
+      std::printf("  profiler overhead (%d hosts, %d shards, %d paired "
+                  "trials): median %+.2f%% (min %+.2f%%, max %+.2f%%)\n",
                   largest.hosts, largest.shards, kRackTrials,
-                  profiler_overhead_pct);
+                  profiler_overhead_pct, profiler_overhead_min_pct,
+                  profiler_overhead_max_pct);
       if (!profile_path.empty()) {
         if (FILE* pf = std::fopen(profile_path.c_str(), "w")) {
           std::fprintf(pf, "%s\n", profile_json.c_str());
@@ -592,14 +614,19 @@ int Main(int argc, char** argv) {
                 trace_sharded_path.c_str(), merged.size());
   }
 
+  const double peak_rss_mb = PeakRssMb();
+  std::printf("  process peak RSS: %.1f MB\n", peak_rss_mb);
+
   if (!json_path.empty()) {
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::fprintf(f, "{\n  \"smoke\": %s,\n  \"benchmarks\": {\n",
-                 smoke ? "true" : "false");
+    std::fprintf(f,
+                 "{\n  \"smoke\": %s,\n  \"peak_rss_mb\": %.1f,\n"
+                 "  \"benchmarks\": {\n",
+                 smoke ? "true" : "false", peak_rss_mb);
     for (size_t i = 0; i < 3; ++i) {
       const Case& c = cases[i];
       std::fprintf(f, "    \"%s\": {\n", c.name);
@@ -645,9 +672,11 @@ int Main(int argc, char** argv) {
             f,
             ",\n      \"profiler\": {\"hosts\": %d, \"shards\": %d, "
             "\"wall_sec\": %.6f, \"events_per_sec\": %.1f, "
-            "\"overhead_pct\": %.3f}",
+            "\"overhead_pct\": %.3f, \"overhead_min_pct\": %.3f, "
+            "\"overhead_max_pct\": %.3f}",
             prof_point.hosts, prof_point.shards, prof_point.m.wall_sec,
-            prof_point.m.events_per_sec(), profiler_overhead_pct);
+            prof_point.m.events_per_sec(), profiler_overhead_pct,
+            profiler_overhead_min_pct, profiler_overhead_max_pct);
       }
       std::fprintf(f, "\n    }\n");
     }

@@ -403,16 +403,22 @@ void PonyEngine::HandleDataFragment(Flow& flow, const Packet& packet,
   }
   assembly.last_seq = std::max(assembly.last_seq, h.seq);
   // Copy fragment payload into the application-visible buffer. The buffer
-  // is sized lazily on the first fragment that carries real bytes (pure
-  // synthetic payloads never allocate).
+  // holds the real bytes only: it ends at the furthest real byte seen so
+  // far, so a synthetic tail (e.g. a 1 MB response behind an 8-byte RPC
+  // header) is never allocated. The copy cost still charges the full
+  // payload. A fragment that is real to its end suggests a fully real
+  // message (always so live), which gets its one full-size buffer up front.
   *cost += RxCopyCost(packet.payload_bytes);
   if (!packet.data.empty()) {
-    if (assembly.data.size() < h.msg_length) {
-      assembly.data.resize(h.msg_length);
-    }
-    size_t end = std::min<size_t>(assembly.data.size(),
+    size_t end = std::min<size_t>(h.msg_length,
                                   h.msg_offset + packet.data.size());
     if (end > h.msg_offset) {
+      if (packet.data.size() >= static_cast<size_t>(packet.payload_bytes)) {
+        assembly.data.reserve(h.msg_length);
+      }
+      if (assembly.data.size() < end) {
+        assembly.data.resize(end);
+      }
       std::copy(packet.data.begin(),
                 packet.data.begin() + (end - h.msg_offset),
                 assembly.data.begin() + h.msg_offset);

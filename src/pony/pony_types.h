@@ -78,7 +78,10 @@ struct PonyIncomingMessage {
   PonyAddress from;
   uint64_t stream_id = 0;
   uint64_t op_id = 0;
-  int64_t length = 0;
+  int64_t length = 0;  // the message length, synthetic bytes included
+  // The real bytes the sender supplied: a prefix of the message, so
+  // data.size() <= length, equal when the whole body was real (always so
+  // live). The synthetic rest is a length only and never allocated.
   std::vector<uint8_t> data;
   SimTime receive_time = 0;
 };

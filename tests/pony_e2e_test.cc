@@ -2,12 +2,56 @@
 // real engines scheduled on simulated cores, packets through the fabric.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "src/apps/pony_apps.h"
 #include "src/apps/simhost.h"
 #include "src/testing/invariants.h"
 
 namespace snap {
 namespace {
+
+// Holds each first-transmission data fragment routed toward `dst_host`
+// until its message's last fragment arrives, then delivers the held
+// fragments newest first: the receiver sees every message in exactly
+// reverse fragment order. Retransmissions and control packets pass through.
+class ReversingHook {
+ public:
+  ReversingHook(Fabric* fabric, int dst_host) : fabric_(fabric) {
+    fabric->SetDeliveryHook(dst_host, [this](PacketPtr p, SimTime t) {
+      Process(std::move(p), t);
+    });
+  }
+
+  int64_t reversed() const { return reversed_; }
+
+ private:
+  void Process(PacketPtr p, SimTime wire_time) {
+    const PonyHeader& h = p->pony;
+    if (h.type != PonyPacketType::kData ||
+        !seen_.insert({h.op_id, h.msg_offset}).second) {
+      fabric_->EnqueueAtPort(std::move(p), wire_time);
+      return;
+    }
+    bool last = h.msg_offset + p->payload_bytes >= h.msg_length;
+    held_.push_back(std::move(p));
+    if (!last) {
+      return;
+    }
+    reversed_ += static_cast<int64_t>(held_.size());
+    while (!held_.empty()) {
+      fabric_->EnqueueAtPort(std::move(held_.back()), wire_time);
+      held_.pop_back();
+    }
+  }
+
+  Fabric* fabric_;
+  std::set<std::pair<uint64_t, uint32_t>> seen_;
+  std::vector<PacketPtr> held_;
+  int64_t reversed_ = 0;
+};
 
 class PonyE2eTest : public ::testing::Test {
  protected:
@@ -82,6 +126,91 @@ TEST_F(PonyE2eTest, LargeMessageFragmentsAndReassembles) {
   EXPECT_EQ(msg->data, payload);
   // Fragmentation actually happened.
   EXPECT_GT(ea->stats().tx_packets, 5);
+}
+
+// The receive buffer holds the real bytes only. A 1 MB message whose real
+// body is an 8-byte RPC header (Fig. 6(b)'s responses) arrives with its
+// full length but an 8-byte buffer, not a zero-filled megabyte.
+TEST_F(PonyE2eTest, SyntheticTailIsNotAllocated) {
+  SimHost a(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  SimHost b(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  PonyEngine* ea = a.CreatePonyEngine("ea");
+  PonyEngine* eb = b.CreatePonyEngine("eb");
+  auto ca = a.CreateClient(ea, "appA");
+  auto cb = b.CreateClient(eb, "appB");
+
+  CpuCostSink cost;
+  uint64_t stream = ca->CreateStream(eb->address());
+  constexpr int64_t kBytes = 1 << 20;
+  std::vector<uint8_t> header = {0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4};
+  ASSERT_NE(ca->SendMessage(eb->address(), stream, kBytes, header, &cost),
+            0u);
+  sim_->RunFor(50 * kMsec);
+
+  auto msg = cb->PollMessage(&cost);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->length, kBytes);
+  EXPECT_EQ(msg->data, header);
+  EXPECT_LT(msg->data.capacity(), size_t{64 * 1024});
+  EXPECT_GT(ea->stats().tx_packets, kBytes / PonyParams{}.mtu_payload);
+}
+
+// A real prefix spanning several fragments, received in reverse order:
+// later fragments arrive first and the buffer still ends at the last real
+// byte, with each fragment's bytes in place.
+TEST_F(PonyE2eTest, ReorderedRealPrefixArrivesExactly) {
+  SimHost a(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  SimHost b(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  PonyEngine* ea = a.CreatePonyEngine("ea");
+  PonyEngine* eb = b.CreatePonyEngine("eb");
+  auto ca = a.CreateClient(ea, "appA");
+  auto cb = b.CreateClient(eb, "appB");
+  ReversingHook reverse(fabric_.get(), b.host_id());
+
+  CpuCostSink cost;
+  uint64_t stream = ca->CreateStream(eb->address());
+  constexpr int64_t kBytes = 64 * 1024;
+  std::vector<uint8_t> prefix(5000);
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  ASSERT_NE(ca->SendMessage(eb->address(), stream, kBytes, prefix, &cost),
+            0u);
+  sim_->RunFor(20 * kMsec);
+
+  EXPECT_GE(reverse.reversed(), kBytes / PonyParams{}.mtu_payload);
+  auto msg = cb->PollMessage(&cost);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->length, kBytes);
+  EXPECT_EQ(msg->data, prefix);
+}
+
+// A fully real multi-fragment message, received in reverse order, arrives
+// whole and byte-exact.
+TEST_F(PonyE2eTest, ReorderedFullyRealMessageArrivesWhole) {
+  SimHost a(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  SimHost b(sim_.get(), fabric_.get(), directory_.get(), DedicatedOptions());
+  PonyEngine* ea = a.CreatePonyEngine("ea");
+  PonyEngine* eb = b.CreatePonyEngine("eb");
+  auto ca = a.CreateClient(ea, "appA");
+  auto cb = b.CreateClient(eb, "appB");
+  ReversingHook reverse(fabric_.get(), b.host_id());
+
+  CpuCostSink cost;
+  uint64_t stream = ca->CreateStream(eb->address());
+  std::vector<uint8_t> payload(20000);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  ASSERT_NE(ca->SendMessage(eb->address(), stream, 0, payload, &cost), 0u);
+  sim_->RunFor(20 * kMsec);
+
+  EXPECT_GE(reverse.reversed(),
+            static_cast<int64_t>(payload.size()) / PonyParams{}.mtu_payload);
+  auto msg = cb->PollMessage(&cost);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->length, static_cast<int64_t>(payload.size()));
+  EXPECT_EQ(msg->data, payload);
 }
 
 TEST_F(PonyE2eTest, PingPongLatencyIsMicroseconds) {

@@ -16,7 +16,6 @@
 //
 // Usage:
 //   bench_live_echo [--smoke] [--json PATH]
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -54,16 +53,6 @@ struct CaseResult {
   int64_t fabric_dropped = 0;
 };
 
-double PercentileUs(std::vector<int64_t> rtts, double p) {
-  if (rtts.empty()) {
-    return 0;
-  }
-  std::sort(rtts.begin(), rtts.end());
-  size_t idx = static_cast<size_t>(p / 100.0 *
-                                   static_cast<double>(rtts.size() - 1));
-  return static_cast<double>(rtts[idx]) / 1000.0;
-}
-
 CaseResult RunCase(const std::string& name, LiveRuntime::FabricKind fabric,
                    int iterations, int64_t message_bytes, int outstanding,
                    SchedulingMode mode = SchedulingMode::kDedicatedCores,
@@ -92,27 +81,34 @@ CaseResult RunCase(const std::string& name, LiveRuntime::FabricKind fabric,
   PonyAddress server_addr = runtime.host(1)->engine()->address();
   uint64_t ping_stream = client->CreateStream(server_addr);
   uint64_t reply_stream = server->CreateStream(client_addr);
+  LivePeer echo;
+  echo.echo_to = client_addr;
+  echo.echo_stream = reply_stream;
+  echo.echoes = iterations;
+  LivePeer ping;
+  ping.ping_to = server_addr;
+  ping.ping_stream = ping_stream;
+  ping.pings = iterations;
+  ping.message_bytes = message_bytes;
+  ping.window = outstanding;
   Doorbell client_bell, server_bell;
   if (blocking) {
     client->BindDoorbell(&client_bell);
     server->BindDoorbell(&server_bell);
+    ping.doorbell = &client_bell;
+    echo.doorbell = &server_bell;
   }
 
   runtime.Start();
   // Engine workers plus the two app threads below.
   result.num_threads = runtime.scheduler()->num_workers() + 2;
-  int64_t deadline = MonotonicTimeNs() + 120LL * 1000 * 1000 * 1000;
+  ping.deadline_ns = MonotonicTimeNs() + 120LL * 1000 * 1000 * 1000;
+  echo.deadline_ns = ping.deadline_ns;
   LiveAppResult client_result, server_result;
-  std::thread server_thread([&] {
-    server_result = RunLiveEchoServer(server.get(), reply_stream,
-                                      client_addr, iterations, deadline,
-                                      blocking ? &server_bell : nullptr);
-  });
+  std::thread server_thread(
+      [&] { server_result = RunLivePeer(server.get(), echo); });
   int64_t t0 = MonotonicTimeNs();
-  client_result = RunLiveRpcClient(client.get(), ping_stream, server_addr,
-                                   iterations, message_bytes, outstanding,
-                                   deadline,
-                                   blocking ? &client_bell : nullptr);
+  client_result = RunLivePeer(client.get(), ping);
   int64_t t1 = MonotonicTimeNs();
   server_thread.join();
   runtime.Stop();
@@ -130,8 +126,8 @@ CaseResult RunCase(const std::string& name, LiveRuntime::FabricKind fabric,
     result.goodput_mbps = static_cast<double>(client_result.bytes_received) *
                           8.0 / result.wall_sec / 1e6;
   }
-  result.p50_rtt_us = PercentileUs(client_result.rtt_ns, 50);
-  result.p99_rtt_us = PercentileUs(client_result.rtt_ns, 99);
+  result.p50_rtt_us = client_result.RttPercentileUs(50);
+  result.p99_rtt_us = client_result.RttPercentileUs(99);
   LiveRuntime::FabricStats fabric_stats = runtime.GetFabricStats();
   result.fabric_delivered = fabric_stats.delivered;
   result.fabric_dropped = fabric_stats.dropped;

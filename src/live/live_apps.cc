@@ -1,5 +1,6 @@
 #include "src/live/live_apps.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -41,138 +42,134 @@ void IdleWait(Doorbell* doorbell, LiveAppResult* result) {
 
 }  // namespace
 
-LiveAppResult RunLiveEchoServer(PonyClient* client, uint64_t reply_stream,
-                                PonyAddress peer, int64_t expected,
-                                int64_t deadline_ns, Doorbell* doorbell) {
-  LiveAppResult result;
-  int64_t echoes_sent = 0;
-  while (result.messages_received < expected) {
-    if (Expired(deadline_ns)) {
-      result.timed_out = true;
-      return result;
-    }
-    if (doorbell != nullptr) {
-      doorbell->Consume();
-    }
-    result.poll_passes++;
-    bool progress = false;
-    if (auto msg = client->PollMessage(Sink())) {
-      progress = true;
-      result.messages_received++;
-      result.bytes_received += msg->length;
-      // Echo the payload back verbatim; retry on ring backpressure.
-      while (client->SendMessage(peer, reply_stream, msg->length, msg->data,
-                                 Sink()) == 0) {
-        result.submit_backpressure++;
-        if (Expired(deadline_ns)) {
-          result.timed_out = true;
-          return result;
-        }
-        // Let send completions drain so the command ring frees up.
-        while (auto done = client->PollCompletion(Sink())) {
-          result.send_completions++;
-          if (done->status != PonyOpStatus::kOk) {
-            result.send_errors++;
-          }
-        }
-      }
-      echoes_sent++;
-    }
-    while (auto done = client->PollCompletion(Sink())) {
-      progress = true;
-      result.send_completions++;
-      if (done->status != PonyOpStatus::kOk) {
-        result.send_errors++;
-      }
-    }
-    if (!progress) {
-      IdleWait(doorbell, &result);
-    }
+double LiveAppResult::RttPercentileUs(double p) const {
+  if (rtt_ns.empty()) {
+    return 0;
   }
-  // Drain remaining send completions so the transport's work is accounted.
-  while (result.send_completions < echoes_sent) {
-    if (Expired(deadline_ns)) {
-      result.timed_out = true;
-      break;
-    }
-    if (doorbell != nullptr) {
-      doorbell->Consume();
-    }
-    result.poll_passes++;
-    bool progress = false;
-    while (auto done = client->PollCompletion(Sink())) {
-      progress = true;
-      result.send_completions++;
-      if (done->status != PonyOpStatus::kOk) {
-        result.send_errors++;
-      }
-    }
-    if (!progress) {
-      IdleWait(doorbell, &result);
-    }
-  }
-  return result;
+  std::vector<int64_t> sorted = rtt_ns;
+  size_t idx = static_cast<size_t>(
+      p / 100.0 * static_cast<double>(sorted.size() - 1));
+  std::nth_element(sorted.begin(), sorted.begin() + idx, sorted.end());
+  return static_cast<double>(sorted[idx]) / 1000.0;
 }
 
-LiveAppResult RunLiveRpcClient(PonyClient* client, uint64_t stream,
-                               PonyAddress peer, int iterations,
-                               int64_t message_bytes, int outstanding,
-                               int64_t deadline_ns, Doorbell* doorbell) {
-  SNAP_CHECK_GE(message_bytes, 16) << "payload carries seq + timestamp";
-  SNAP_CHECK_GE(outstanding, 1);
+LiveAppResult RunLivePeer(PonyClient* client, const LivePeer& peer) {
+  SNAP_CHECK_GE(peer.message_bytes, kLiveHeaderBytes)
+      << "payload carries seq + timestamp";
+  SNAP_CHECK_GE(peer.window, 1);
   LiveAppResult result;
-  result.rtt_ns.reserve(static_cast<size_t>(iterations));
-  int64_t sent = 0;
+  result.rtt_ns.reserve(static_cast<size_t>(peer.pings));
+  int64_t pings_sent = 0;
   int64_t in_flight = 0;
-  std::vector<uint8_t> payload(static_cast<size_t>(message_bytes), 0xa5);
-  while (result.rpcs_completed < iterations) {
-    if (Expired(deadline_ns)) {
+  std::vector<uint8_t> payload(static_cast<size_t>(peer.message_bytes),
+                               0xa5);
+  // Drains send completions; returns whether any arrived.
+  auto drain_completions = [&] {
+    bool any = false;
+    while (auto done = client->PollCompletion(Sink())) {
+      any = true;
+      result.send_completions++;
+      if (done->status != PonyOpStatus::kOk) {
+        result.send_errors++;
+      }
+    }
+    return any;
+  };
+  int64_t finished_at = -1;  // when both roles completed: starts the tail
+  while (true) {
+    const int64_t now = MonotonicTimeNs();
+    if (finished_at < 0 && result.rpcs_completed >= peer.pings &&
+        result.echoes_sent >= peer.echoes) {
+      finished_at = now;
+    }
+    if (finished_at >= 0 &&
+        (result.send_completions >= pings_sent + result.echoes_sent ||
+         now - finished_at >= peer.linger_ns)) {
+      break;
+    }
+    if (now > peer.deadline_ns) {
       result.timed_out = true;
       break;
     }
-    if (doorbell != nullptr) {
-      doorbell->Consume();
+    if (peer.doorbell != nullptr) {
+      peer.doorbell->Consume();
     }
     result.poll_passes++;
     bool progress = false;
-    // Top up the closed-loop window.
-    while (in_flight < outstanding && sent < iterations) {
-      uint64_t seq = static_cast<uint64_t>(sent);
-      int64_t now = MonotonicTimeNs();
+    // Keep the closed-loop ping window full.
+    while (in_flight < peer.window && pings_sent < peer.pings) {
+      uint64_t seq = static_cast<uint64_t>(pings_sent);
+      int64_t sent_at = MonotonicTimeNs();
       std::memcpy(payload.data(), &seq, sizeof(seq));
-      std::memcpy(payload.data() + 8, &now, sizeof(now));
-      if (client->SendMessage(peer, stream, message_bytes, payload, Sink()) ==
-          0) {
+      std::memcpy(payload.data() + 8, &sent_at, sizeof(sent_at));
+      if (client->SendMessage(peer.ping_to, peer.ping_stream,
+                              peer.message_bytes, payload, Sink()) == 0) {
         result.submit_backpressure++;
-        break;  // ring full; poll before retrying
+        break;  // command ring full; poll before retrying
       }
-      sent++;
+      pings_sent++;
       in_flight++;
       progress = true;
     }
-    while (auto done = client->PollCompletion(Sink())) {
-      progress = true;
-      result.send_completions++;
-      if (done->status != PonyOpStatus::kOk) {
-        result.send_errors++;
-      }
-    }
     while (auto msg = client->PollMessage(Sink())) {
       progress = true;
+      if (msg->data.size() < static_cast<size_t>(kLiveHeaderBytes)) {
+        result.malformed++;
+        continue;
+      }
+      uint64_t seq = 0;
+      int64_t sent_at = 0;
+      std::memcpy(&seq, msg->data.data(), sizeof(seq));
+      std::memcpy(&sent_at, msg->data.data() + 8, sizeof(sent_at));
+      if ((seq & kEchoTag) != 0) {
+        // An echo carries our own send timestamp, never a future one.
+        int64_t received_at = MonotonicTimeNs();
+        if (in_flight == 0 || sent_at < 0 || sent_at > received_at) {
+          result.malformed++;
+          continue;
+        }
+        in_flight--;
+        result.rpcs_completed++;
+        result.messages_received++;
+        result.bytes_received += msg->length;
+        result.rtt_ns.push_back(received_at - sent_at);
+        continue;
+      }
+      if (result.echoes_sent >= peer.echoes) {
+        result.malformed++;
+        continue;
+      }
       result.messages_received++;
       result.bytes_received += msg->length;
-      in_flight--;
-      result.rpcs_completed++;
-      if (msg->data.size() >= 16) {
-        int64_t sent_at = 0;
-        std::memcpy(&sent_at, msg->data.data() + 8, sizeof(sent_at));
-        result.rtt_ns.push_back(MonotonicTimeNs() - sent_at);
+      // A ping: tag it and send it back, preserving the timestamp; retry
+      // through command-ring backpressure, draining completions so the
+      // ring frees up.
+      std::vector<uint8_t> reply = std::move(msg->data);
+      seq |= kEchoTag;
+      std::memcpy(reply.data(), &seq, sizeof(seq));
+      while (client->SendMessage(peer.echo_to, peer.echo_stream, msg->length,
+                                 reply, Sink()) == 0) {
+        result.submit_backpressure++;
+        if (Expired(peer.deadline_ns)) {
+          result.timed_out = true;
+          break;
+        }
+        drain_completions();
       }
+      if (result.timed_out) {
+        break;
+      }
+      result.echoes_sent++;
+    }
+    if (drain_completions()) {
+      progress = true;
     }
     if (!progress) {
-      IdleWait(doorbell, &result);
+      IdleWait(peer.doorbell, &result);
     }
   }
+  result.completions_missing =
+      pings_sent + result.echoes_sent - result.send_completions;
   return result;
 }
 

@@ -5,11 +5,9 @@
 // with its successor ((h+1) % N) and echoes for its predecessor — so a
 // two-node run exercises every cross-process edge in both directions.
 //
-// One PonyClient per host carries both roles. Incoming messages demux by
-// the MSB of the 8-byte sequence number leading the payload: clear = a
-// ping from the predecessor (echo it back with the MSB set), set = an
-// echo of our own ping (bytes 8..16 carry our send timestamp -> RTT).
-// Remote senders' stream ids are unbound at the receiving engine, so
+// One PonyClient per host plays both RunLivePeer roles (live_apps.h):
+// pings to the successor, echoes for the predecessor, demuxed by the echo
+// tag. Remote senders' stream ids are unbound at the receiving engine, so
 // delivery rides the default-sink path; the tag makes the single message
 // queue unambiguous.
 //
@@ -24,7 +22,6 @@
 //             --serve-directory --mode spreading
 //   live_node --num-hosts 2 --local-hosts 1 --directory 127.0.0.1:P
 //             --mode spreading
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,14 +31,13 @@
 #include <thread>
 #include <vector>
 
+#include "src/live/live_apps.h"
 #include "src/live/live_runtime.h"
 #include "src/snap/engine_group.h"
 #include "src/util/doorbell.h"
 
 namespace snap {
 namespace {
-
-constexpr uint64_t kEchoTag = 1ULL << 63;
 
 struct NodeOptions {
   int num_hosts = 2;
@@ -65,160 +61,6 @@ struct NodeOptions {
   const char* profile_path = nullptr;
   int profile_interval_ms = 100;
 };
-
-struct HostResult {
-  int host = -1;
-  int64_t pings_sent = 0;
-  int64_t pongs_received = 0;   // completed RPCs
-  int64_t echoes_sent = 0;      // predecessor pings echoed back
-  int64_t pings_received = 0;
-  int64_t send_completions = 0;
-  int64_t send_errors = 0;
-  int64_t submit_backpressure = 0;
-  int64_t poll_passes = 0;
-  int64_t waits = 0;
-  // Send completions still outstanding when the tail drain gave up. Not
-  // a failure: the ring's pong counts are the end-to-end delivery gate,
-  // and a peer that finishes first may exit before acking our last echo.
-  int64_t completions_missing = 0;
-  bool timed_out = false;
-  std::vector<int64_t> rtt_ns;
-};
-
-CpuCostSink* Sink() {
-  thread_local CpuCostSink sink;
-  return &sink;
-}
-
-// Drains send completions into `r`; returns whether any arrived.
-bool DrainCompletions(PonyClient* client, HostResult* r) {
-  bool any = false;
-  while (auto done = client->PollCompletion(Sink())) {
-    any = true;
-    r->send_completions++;
-    if (done->status != PonyOpStatus::kOk) {
-      r->send_errors++;
-    }
-  }
-  return any;
-}
-
-// The ring workload for one host: `iterations` tagged pings to the
-// successor with up to `window` in flight, echoing every predecessor
-// ping as it arrives. Runs until both directions complete and the send
-// completions drain, or the deadline passes.
-HostResult RunRingHost(PonyClient* client, uint64_t ping_stream,
-                       PonyAddress succ, uint64_t echo_stream,
-                       PonyAddress pred, const NodeOptions& opts,
-                       Doorbell* doorbell) {
-  constexpr int64_t kBlockSliceNs = 1'000'000;
-  HostResult r;
-  const int64_t deadline =
-      MonotonicTimeNs() + opts.deadline_sec * 1'000'000'000;
-  int64_t in_flight = 0;
-  std::vector<uint8_t> payload(static_cast<size_t>(opts.message_bytes),
-                               0xa5);
-  auto expired = [&] { return MonotonicTimeNs() > deadline; };
-  auto done = [&] {
-    return r.pongs_received >= opts.iterations &&
-           r.echoes_sent >= opts.iterations;
-  };
-  while (!done()) {
-    if (expired()) {
-      r.timed_out = true;
-      break;
-    }
-    if (doorbell != nullptr) {
-      doorbell->Consume();
-    }
-    r.poll_passes++;
-    bool progress = false;
-    // Keep the closed-loop ping window to the successor full.
-    while (in_flight < opts.window && r.pings_sent < opts.iterations) {
-      uint64_t seq = static_cast<uint64_t>(r.pings_sent);
-      int64_t now = MonotonicTimeNs();
-      std::memcpy(payload.data(), &seq, sizeof(seq));
-      std::memcpy(payload.data() + 8, &now, sizeof(now));
-      if (client->SendMessage(succ, ping_stream, opts.message_bytes,
-                              payload, Sink()) == 0) {
-        r.submit_backpressure++;
-        break;  // command ring full; poll before retrying
-      }
-      r.pings_sent++;
-      in_flight++;
-      progress = true;
-    }
-    while (auto msg = client->PollMessage(Sink())) {
-      progress = true;
-      uint64_t seq = 0;
-      if (msg->data.size() >= 16) {
-        std::memcpy(&seq, msg->data.data(), sizeof(seq));
-      }
-      if ((seq & kEchoTag) != 0) {
-        // Our ping, echoed back by the successor.
-        r.pongs_received++;
-        in_flight--;
-        int64_t sent_at = 0;
-        std::memcpy(&sent_at, msg->data.data() + 8, sizeof(sent_at));
-        r.rtt_ns.push_back(MonotonicTimeNs() - sent_at);
-        continue;
-      }
-      // A predecessor ping: tag it and send it back, preserving the
-      // timestamp; retry through ring backpressure.
-      r.pings_received++;
-      std::vector<uint8_t> echo = std::move(msg->data);
-      seq |= kEchoTag;
-      std::memcpy(echo.data(), &seq, sizeof(seq));
-      int64_t len = msg->length;
-      while (client->SendMessage(pred, echo_stream, len, echo, Sink()) ==
-             0) {
-        r.submit_backpressure++;
-        if (expired()) {
-          r.timed_out = true;
-          return r;
-        }
-        DrainCompletions(client, &r);
-      }
-      r.echoes_sent++;
-    }
-    if (DrainCompletions(client, &r)) {
-      progress = true;
-    }
-    if (!progress && doorbell != nullptr && !doorbell->pending()) {
-      r.waits++;
-      doorbell->WaitFor(kBlockSliceNs);
-    }
-  }
-  // Tail: drain remaining send completions, bounded by the linger budget
-  // — after this window a peer may have exited and the ack is gone.
-  const int64_t tail_deadline = std::min(
-      deadline, MonotonicTimeNs() + opts.linger_ms * 1'000'000);
-  while (r.send_completions < r.pings_sent + r.echoes_sent &&
-         MonotonicTimeNs() < tail_deadline) {
-    if (doorbell != nullptr) {
-      doorbell->Consume();
-    }
-    r.poll_passes++;
-    if (!DrainCompletions(client, &r) && doorbell != nullptr &&
-        !doorbell->pending()) {
-      r.waits++;
-      doorbell->WaitFor(kBlockSliceNs);
-    }
-  }
-  r.completions_missing =
-      r.pings_sent + r.echoes_sent - r.send_completions;
-  return r;
-}
-
-double PercentileUs(std::vector<int64_t> values, double p) {
-  if (values.empty()) {
-    return 0;
-  }
-  std::sort(values.begin(), values.end());
-  size_t idx = static_cast<size_t>(
-      p / 100.0 * static_cast<double>(values.size() - 1));
-  return static_cast<double>(values[idx]) / 1000.0;
-}
 
 std::vector<int> ParseHostList(const char* arg) {
   std::vector<int> hosts;
@@ -358,11 +200,8 @@ int Main(int argc, char** argv) {
     int host;
     std::unique_ptr<PonyClient> client;
     std::unique_ptr<Doorbell> doorbell;
-    uint64_t ping_stream;
-    uint64_t echo_stream;
-    PonyAddress succ;
-    PonyAddress pred;
-    HostResult result;
+    LivePeer peer;
+    LiveAppResult result;
   };
   std::vector<HostApp> apps;
   for (int h = 0; h < runtime.num_hosts(); ++h) {
@@ -377,13 +216,20 @@ int Main(int argc, char** argv) {
     int pred = (h + opts.num_hosts - 1) % opts.num_hosts;
     // Engine ids are host + 1 by construction, so remote addresses need
     // no coordination.
-    app.succ = PonyAddress{succ, static_cast<uint32_t>(succ + 1)};
-    app.pred = PonyAddress{pred, static_cast<uint32_t>(pred + 1)};
-    app.ping_stream = app.client->CreateStream(app.succ);
-    app.echo_stream = app.client->CreateStream(app.pred);
+    LivePeer& peer = app.peer;
+    peer.ping_to = PonyAddress{succ, static_cast<uint32_t>(succ + 1)};
+    peer.ping_stream = app.client->CreateStream(peer.ping_to);
+    peer.pings = opts.iterations;
+    peer.message_bytes = opts.message_bytes;
+    peer.window = opts.window;
+    peer.echo_to = PonyAddress{pred, static_cast<uint32_t>(pred + 1)};
+    peer.echo_stream = app.client->CreateStream(peer.echo_to);
+    peer.echoes = opts.iterations;
+    peer.linger_ns = opts.linger_ms * 1'000'000;
     if (opts.blocking) {
       app.doorbell = std::make_unique<Doorbell>();
       app.client->BindDoorbell(app.doorbell.get());
+      peer.doorbell = app.doorbell.get();
     }
     apps.push_back(std::move(app));
   }
@@ -393,12 +239,9 @@ int Main(int argc, char** argv) {
   std::vector<std::thread> threads;
   threads.reserve(apps.size());
   for (HostApp& app : apps) {
-    threads.emplace_back([&app, &opts] {
-      app.result = RunRingHost(app.client.get(), app.ping_stream, app.succ,
-                               app.echo_stream, app.pred, opts,
-                               app.doorbell.get());
-      app.result.host = app.host;
-    });
+    app.peer.deadline_ns = t0 + opts.deadline_sec * 1'000'000'000;
+    threads.emplace_back(
+        [&app] { app.result = RunLivePeer(app.client.get(), app.peer); });
   }
   for (std::thread& t : threads) {
     t.join();
@@ -414,17 +257,17 @@ int Main(int argc, char** argv) {
 
   bool ok = true;
   for (const HostApp& app : apps) {
-    const HostResult& r = app.result;
-    bool host_ok = !r.timed_out && r.pongs_received == opts.iterations &&
+    const LiveAppResult& r = app.result;
+    bool host_ok = !r.timed_out && r.rpcs_completed == opts.iterations &&
                    r.echoes_sent == opts.iterations && r.send_errors == 0;
     ok = ok && host_ok;
     std::printf(
         "host %d %s  pings %lld/%d  echoes %lld  p50 %7.1fus  "
         "p99 %7.1fus  polls %lld  waits %lld\n",
-        r.host, host_ok ? "ok  " : "FAIL",
-        static_cast<long long>(r.pongs_received), opts.iterations,
-        static_cast<long long>(r.echoes_sent), PercentileUs(r.rtt_ns, 50),
-        PercentileUs(r.rtt_ns, 99), static_cast<long long>(r.poll_passes),
+        app.host, host_ok ? "ok  " : "FAIL",
+        static_cast<long long>(r.rpcs_completed), opts.iterations,
+        static_cast<long long>(r.echoes_sent), r.RttPercentileUs(50),
+        r.RttPercentileUs(99), static_cast<long long>(r.poll_passes),
         static_cast<long long>(r.waits));
   }
   LiveRuntime::FabricStats fabric = runtime.GetFabricStats();
@@ -476,10 +319,10 @@ int Main(int argc, char** argv) {
                  static_cast<long long>(runtime.scheduler()->migrations()));
     std::fprintf(f, "  \"hosts\": {\n");
     for (size_t i = 0; i < apps.size(); ++i) {
-      const HostResult& r = apps[i].result;
-      std::fprintf(f, "    \"%d\": {\n", r.host);
+      const LiveAppResult& r = apps[i].result;
+      std::fprintf(f, "    \"%d\": {\n", apps[i].host);
       std::fprintf(f, "      \"pongs_received\": %lld,\n",
-                   static_cast<long long>(r.pongs_received));
+                   static_cast<long long>(r.rpcs_completed));
       std::fprintf(f, "      \"echoes_sent\": %lld,\n",
                    static_cast<long long>(r.echoes_sent));
       std::fprintf(f, "      \"send_errors\": %lld,\n",
@@ -491,9 +334,9 @@ int Main(int argc, char** argv) {
       std::fprintf(f, "      \"completions_missing\": %lld,\n",
                    static_cast<long long>(r.completions_missing));
       std::fprintf(f, "      \"p50_rtt_us\": %.2f,\n",
-                   PercentileUs(r.rtt_ns, 50));
+                   r.RttPercentileUs(50));
       std::fprintf(f, "      \"p99_rtt_us\": %.2f,\n",
-                   PercentileUs(r.rtt_ns, 99));
+                   r.RttPercentileUs(99));
       std::fprintf(f, "      \"timed_out\": %s\n",
                    r.timed_out ? "true" : "false");
       std::fprintf(f, "    }%s\n", i + 1 == apps.size() ? "" : ",");

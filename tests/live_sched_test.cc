@@ -44,10 +44,8 @@ std::vector<EchoRun> RunEchoPairs(LiveRuntime* runtime, int iterations,
     std::unique_ptr<PonyClient> server;
     std::unique_ptr<Doorbell> client_bell;
     std::unique_ptr<Doorbell> server_bell;
-    uint64_t ping_stream = 0;
-    uint64_t reply_stream = 0;
-    PonyAddress client_addr;
-    PonyAddress server_addr;
+    LivePeer ping;
+    LivePeer echo;
   };
   int num_pairs = runtime->num_hosts() / 2;
   std::vector<Pair> pairs(static_cast<size_t>(num_pairs));
@@ -57,15 +55,21 @@ std::vector<EchoRun> RunEchoPairs(LiveRuntime* runtime, int iterations,
     LiveHost* sh = runtime->host(2 * i + 1);
     p.client = ch->CreateClient("client-" + std::to_string(i));
     p.server = sh->CreateClient("server-" + std::to_string(i));
-    p.client_addr = ch->engine()->address();
-    p.server_addr = sh->engine()->address();
-    p.ping_stream = p.client->CreateStream(p.server_addr);
-    p.reply_stream = p.server->CreateStream(p.client_addr);
+    p.ping.ping_to = sh->engine()->address();
+    p.ping.ping_stream = p.client->CreateStream(p.ping.ping_to);
+    p.ping.pings = iterations;
+    p.ping.message_bytes = message_bytes;
+    p.ping.window = outstanding;
+    p.echo.echo_to = ch->engine()->address();
+    p.echo.echo_stream = p.server->CreateStream(p.echo.echo_to);
+    p.echo.echoes = iterations;
     if (blocking) {
       p.client_bell = std::make_unique<Doorbell>();
       p.server_bell = std::make_unique<Doorbell>();
       p.client->BindDoorbell(p.client_bell.get());
       p.server->BindDoorbell(p.server_bell.get());
+      p.ping.doorbell = p.client_bell.get();
+      p.echo.doorbell = p.server_bell.get();
     }
   }
 
@@ -76,18 +80,12 @@ std::vector<EchoRun> RunEchoPairs(LiveRuntime* runtime, int iterations,
   for (int i = 0; i < num_pairs; ++i) {
     Pair& p = pairs[static_cast<size_t>(i)];
     EchoRun& run = runs[static_cast<size_t>(i)];
-    threads.emplace_back([&p, &run, iterations, deadline] {
-      run.server = RunLiveEchoServer(p.server.get(), p.reply_stream,
-                                     p.client_addr, iterations, deadline,
-                                     p.server_bell.get());
-    });
+    p.ping.deadline_ns = deadline;
+    p.echo.deadline_ns = deadline;
     threads.emplace_back(
-        [&p, &run, iterations, message_bytes, outstanding, deadline] {
-          run.client = RunLiveRpcClient(p.client.get(), p.ping_stream,
-                                        p.server_addr, iterations,
-                                        message_bytes, outstanding, deadline,
-                                        p.client_bell.get());
-        });
+        [&p, &run] { run.server = RunLivePeer(p.server.get(), p.echo); });
+    threads.emplace_back(
+        [&p, &run] { run.client = RunLivePeer(p.client.get(), p.ping); });
   }
   for (std::thread& t : threads) {
     t.join();
@@ -530,16 +528,22 @@ TEST(LiveSchedTest, UdpCrossRuntimeEchoRendezvous) {
   node_b.Start();
   int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
   LiveAppResult client_result, server_result;
-  std::thread server_thread([&] {
-    server_result = RunLiveEchoServer(server.get(), reply_stream, addr_a,
-                                      kIterations, deadline);
-  });
-  client_result = RunLiveRpcClient(client.get(), ping_stream, addr_b,
-                                   kIterations, /*message_bytes=*/64,
-                                   /*outstanding=*/4, deadline);
+  LivePeer echo;
+  echo.echo_to = addr_a;
+  echo.echo_stream = reply_stream;
+  echo.echoes = kIterations;
+  echo.deadline_ns = deadline;
+  LivePeer ping;
+  ping.ping_to = addr_b;
+  ping.ping_stream = ping_stream;
+  ping.pings = kIterations;
+  ping.window = 4;
+  ping.deadline_ns = deadline;
+  std::thread echoer([&] { server_result = RunLivePeer(server.get(), echo); });
+  client_result = RunLivePeer(client.get(), ping);
   // Join the server before stopping either runtime: its final send
   // completions need the client-side engine alive to ack retransmits.
-  server_thread.join();
+  echoer.join();
   node_a.Stop();
   node_b.Stop();
 

@@ -50,22 +50,32 @@ TEST(LiveSoakTest, BidirectionalLoopbackRpcUnderConcurrency) {
   runtime.Start();
   int64_t deadline = MonotonicTimeNs() + kDeadlineNs;
   LiveAppResult c0, c1, s0, s1;
-  std::thread ts1([&] {
-    s1 = RunLiveEchoServer(server1.get(), reply1, addr0, kIterations,
-                           deadline);
-  });
-  std::thread ts0([&] {
-    s0 = RunLiveEchoServer(server0.get(), reply0, addr1, kIterations,
-                           deadline);
-  });
-  std::thread tc0([&] {
-    c0 = RunLiveRpcClient(client0.get(), ping01, addr1, kIterations, kBytes,
-                          /*outstanding=*/8, deadline);
-  });
-  std::thread tc1([&] {
-    c1 = RunLiveRpcClient(client1.get(), ping10, addr0, kIterations, kBytes,
-                          /*outstanding=*/8, deadline);
-  });
+  auto echo = [&](uint64_t stream, PonyAddress to) {
+    LivePeer peer;
+    peer.echo_to = to;
+    peer.echo_stream = stream;
+    peer.echoes = kIterations;
+    peer.deadline_ns = deadline;
+    return peer;
+  };
+  auto ping = [&](uint64_t stream, PonyAddress to) {
+    LivePeer peer;
+    peer.ping_to = to;
+    peer.ping_stream = stream;
+    peer.pings = kIterations;
+    peer.message_bytes = kBytes;
+    peer.window = 8;
+    peer.deadline_ns = deadline;
+    return peer;
+  };
+  std::thread ts1(
+      [&] { s1 = RunLivePeer(server1.get(), echo(reply1, addr0)); });
+  std::thread ts0(
+      [&] { s0 = RunLivePeer(server0.get(), echo(reply0, addr1)); });
+  std::thread tc0(
+      [&] { c0 = RunLivePeer(client0.get(), ping(ping01, addr1)); });
+  std::thread tc1(
+      [&] { c1 = RunLivePeer(client1.get(), ping(ping10, addr0)); });
   tc0.join();
   tc1.join();
   ts0.join();

@@ -1,11 +1,14 @@
 // Live-mode tests: the Snap engines on real OS threads (src/live/) — wire
 // frame codec round-trips, executor timer clamping, end-to-end echo RPC
-// over both live fabrics with QoS + telemetry + tracing attached, the UDP
-// fabric's per-pass GSO batching (ordering, integrity, send counts), and the
-// sim-vs-live parity check the substrate split promises: same engines,
-// same transport, same observable message counts.
+// over both live fabrics with QoS + telemetry + tracing attached, hostile
+// input to the echo driver, the UDP fabric's per-pass GSO batching
+// (ordering, integrity, send counts), and the sim-vs-live parity check the
+// substrate split promises: same engines, same transport, same observable
+// message counts.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -22,6 +25,28 @@ namespace snap {
 namespace {
 
 constexpr int64_t kTestDeadlineNs = 20LL * 1000 * 1000 * 1000;  // 20 s
+
+// The echo-only and ping-only RunLivePeer roles of the two-host tests.
+LivePeer EchoRole(PonyAddress to, uint64_t stream, int echoes,
+                  int64_t deadline_ns) {
+  LivePeer peer;
+  peer.echo_to = to;
+  peer.echo_stream = stream;
+  peer.echoes = echoes;
+  peer.deadline_ns = deadline_ns;
+  return peer;
+}
+
+LivePeer PingRole(PonyAddress to, uint64_t stream, int pings, int window,
+                  int64_t deadline_ns) {
+  LivePeer peer;
+  peer.ping_to = to;
+  peer.ping_stream = stream;
+  peer.pings = pings;
+  peer.window = window;
+  peer.deadline_ns = deadline_ns;
+  return peer;
+}
 
 TEST(WireFrameTest, RoundTripsPonyPacketWithPayload) {
   Packet packet;
@@ -132,17 +157,13 @@ EchoRun RunEchoWorkload(LiveRuntime* runtime, int iterations,
   runtime->Start();
   int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
   EchoRun run;
-  std::thread server_thread([&] {
-    run.server = RunLiveEchoServer(server.get(), reply_stream, client_addr,
-                                   iterations, deadline);
-  });
-  std::thread client_thread([&] {
-    run.client = RunLiveRpcClient(client.get(), ping_stream, server_addr,
-                                  iterations, message_bytes,
-                                  /*outstanding=*/4, deadline);
-  });
-  client_thread.join();
-  server_thread.join();
+  LivePeer echo = EchoRole(client_addr, reply_stream, iterations, deadline);
+  LivePeer ping = PingRole(server_addr, ping_stream, iterations, 4, deadline);
+  ping.message_bytes = message_bytes;
+  std::thread echoer([&] { run.server = RunLivePeer(server.get(), echo); });
+  std::thread pinger([&] { run.client = RunLivePeer(client.get(), ping); });
+  pinger.join();
+  echoer.join();
   runtime->Stop();
   return run;
 }
@@ -225,6 +246,125 @@ TEST(LiveRuntimeTest, UdpEchoEndToEnd) {
   ExpectCleanEngines(&runtime);
   LiveRuntime::FabricStats fabric = runtime.GetFabricStats();
   EXPECT_GT(fabric.delivered, 2 * kIterations);
+}
+
+// Hostile input to the echo role: before its pings, the client sends the
+// echo peer a message shorter than the header and a forged echo (tag set,
+// no ping of the peer's in flight). The peer drops and counts both, echoes
+// neither, and every RPC that follows completes.
+TEST(LiveRuntimeTest, EchoPeerDropsMalformedMessages) {
+  constexpr int kIterations = 50;
+  LiveRuntime::Options options;
+  options.num_hosts = 2;
+  options.fabric = LiveRuntime::FabricKind::kLoopback;
+  LiveRuntime runtime(options);
+  ASSERT_TRUE(runtime.Init().ok());
+  auto client = runtime.host(0)->CreateClient("rpc-client");
+  auto server = runtime.host(1)->CreateClient("echo-server");
+  PonyAddress client_addr = runtime.host(0)->engine()->address();
+  PonyAddress server_addr = runtime.host(1)->engine()->address();
+  uint64_t ping_stream = client->CreateStream(server_addr);
+  uint64_t reply_stream = server->CreateStream(client_addr);
+
+  runtime.Start();
+  int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
+  CpuCostSink sink;
+  std::vector<uint8_t> forged(kLiveHeaderBytes, 0);
+  std::memcpy(forged.data(), &kEchoTag, sizeof(kEchoTag));
+  ASSERT_NE(client->SendMessage(server_addr, ping_stream, 4,
+                                std::vector<uint8_t>(4, 0x5a), &sink),
+            0u);
+  ASSERT_NE(client->SendMessage(server_addr, ping_stream, kLiveHeaderBytes,
+                                forged, &sink),
+            0u);
+  // Both are acked, so they sit in the peer's queue ahead of every ping.
+  int acked = 0;
+  while (acked < 2 && MonotonicTimeNs() < deadline) {
+    if (auto done = client->PollCompletion(&sink)) {
+      EXPECT_EQ(done->status, PonyOpStatus::kOk);
+      ++acked;
+    }
+  }
+  ASSERT_EQ(acked, 2);
+
+  LivePeer echo = EchoRole(client_addr, reply_stream, kIterations, deadline);
+  LivePeer ping = PingRole(server_addr, ping_stream, kIterations, 4, deadline);
+  LiveAppResult echo_result;
+  std::thread echoer([&] { echo_result = RunLivePeer(server.get(), echo); });
+  LiveAppResult ping_result = RunLivePeer(client.get(), ping);
+  echoer.join();
+  runtime.Stop();
+
+  EXPECT_FALSE(ping_result.timed_out);
+  EXPECT_FALSE(echo_result.timed_out);
+  EXPECT_EQ(echo_result.malformed, 2);
+  EXPECT_EQ(echo_result.echoes_sent, kIterations);
+  EXPECT_EQ(echo_result.messages_received, kIterations);
+  EXPECT_EQ(ping_result.malformed, 0);
+  EXPECT_EQ(ping_result.rpcs_completed, kIterations);
+  EXPECT_EQ(ping_result.rtt_ns.size(), static_cast<size_t>(kIterations));
+  EXPECT_EQ(ping_result.send_errors + echo_result.send_errors, 0);
+  ExpectCleanEngines(&runtime);
+}
+
+// Hostile input to the ping role: a hand-written echo side answers each
+// ping with a forged echo whose send timestamp lies in the future, then
+// with the real echo. The pinger drops and counts every forgery, and its
+// RTTs come from the real echoes only.
+TEST(LiveRuntimeTest, PingPeerDropsEchoesWithForeignTimestamps) {
+  constexpr int kIterations = 20;
+  LiveRuntime::Options options;
+  options.num_hosts = 2;
+  options.fabric = LiveRuntime::FabricKind::kLoopback;
+  LiveRuntime runtime(options);
+  ASSERT_TRUE(runtime.Init().ok());
+  auto client = runtime.host(0)->CreateClient("rpc-client");
+  auto server = runtime.host(1)->CreateClient("echo-server");
+  PonyAddress client_addr = runtime.host(0)->engine()->address();
+  PonyAddress server_addr = runtime.host(1)->engine()->address();
+  uint64_t ping_stream = client->CreateStream(server_addr);
+  uint64_t reply_stream = server->CreateStream(client_addr);
+
+  runtime.Start();
+  int64_t deadline = MonotonicTimeNs() + kTestDeadlineNs;
+  LivePeer ping = PingRole(server_addr, ping_stream, kIterations, 1, deadline);
+  LiveAppResult ping_result;
+  std::thread pinger([&] { ping_result = RunLivePeer(client.get(), ping); });
+  CpuCostSink sink;
+  int echoed = 0;
+  while (echoed < kIterations && MonotonicTimeNs() < deadline) {
+    auto msg = server->PollMessage(&sink);
+    if (!msg.has_value()) {
+      continue;
+    }
+    std::vector<uint8_t> echo = std::move(msg->data);
+    uint64_t seq = 0;
+    std::memcpy(&seq, echo.data(), sizeof(seq));
+    seq |= kEchoTag;
+    std::memcpy(echo.data(), &seq, sizeof(seq));
+    std::vector<uint8_t> forged = echo;
+    int64_t future = std::numeric_limits<int64_t>::max();
+    std::memcpy(forged.data() + 8, &future, sizeof(future));
+    // 40 sends in all: the command ring never fills.
+    for (const std::vector<uint8_t>* reply : {&forged, &echo}) {
+      EXPECT_NE(server->SendMessage(client_addr, reply_stream, msg->length,
+                                    *reply, &sink),
+                0u);
+    }
+    ++echoed;
+  }
+  pinger.join();
+  runtime.Stop();
+
+  EXPECT_EQ(echoed, kIterations);
+  EXPECT_FALSE(ping_result.timed_out);
+  EXPECT_EQ(ping_result.malformed, kIterations);
+  EXPECT_EQ(ping_result.rpcs_completed, kIterations);
+  ASSERT_EQ(ping_result.rtt_ns.size(), static_cast<size_t>(kIterations));
+  for (int64_t rtt : ping_result.rtt_ns) {
+    EXPECT_GT(rtt, 0);
+  }
+  EXPECT_EQ(ping_result.send_errors, 0);
 }
 
 // One pass's worth of frames from host 0 to hosts 1 and 2, interleaved,

@@ -1,8 +1,13 @@
 // Microbenchmarks (google-benchmark) of the hot-path primitives: SPSC
-// ring, engine mailbox, CRC32C, wire encode/decode, histogram recording,
-// packet pool, and the discrete-event core. These are wall-clock
-// benchmarks of the library code itself, not simulated time.
+// ring (single-threaded and a two-thread ping-pong), engine mailbox,
+// CRC32C, wire encode/decode, histogram recording, packet pool, and the
+// discrete-event core. These are wall-clock benchmarks of the library
+// code itself, not simulated time.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <optional>
+#include <thread>
 
 #include "src/packet/crc32.h"
 #include "src/packet/packet_pool.h"
@@ -39,6 +44,36 @@ void BM_SpscRingBatch16(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_SpscRingBatch16);
+
+void BM_SpscRingPingPong(benchmark::State& state) {
+  // Two threads, one element in flight: the live app <-> engine shape
+  // (submit on one ring, spin for the completion on the other). Each
+  // iteration is one round trip, so the cost is the cache-line handoffs
+  // of the slots and indices, and any shared line the hot path reads.
+  SpscRing<uint64_t> ping(1024);
+  SpscRing<uint64_t> pong(1024);
+  std::atomic<bool> stop{false};
+  std::thread echo([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (std::optional<uint64_t> v = ping.TryPop()) {
+        while (!pong.TryPush(*v)) {
+        }
+      }
+    }
+  });
+  uint64_t v = 0;
+  for (auto _ : state) {
+    ping.TryPush(v++);
+    std::optional<uint64_t> r;
+    while (!(r = pong.TryPop())) {
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  echo.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpscRingPingPong)->UseRealTime();
 
 void BM_MailboxPostRun(benchmark::State& state) {
   EngineMailbox mailbox;

@@ -39,9 +39,9 @@
 
 // ---------------------------------------------------------------------------
 // Allocation counting: every global new in this binary bumps a counter,
-// so each measurement can report allocs/event. Every non-aligned form is
-// replaced, nothrow included, so each allocation is released by the
-// matching deallocation (the aligned forms keep the library's pair).
+// so each measurement can report allocs/event. Every form is replaced,
+// nothrow and aligned (SpscRing's cache-line-aligned segments) included,
+// so each allocation is released by the matching deallocation.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<int64_t> g_alloc_count{0};
@@ -49,6 +49,13 @@ std::atomic<int64_t> g_alloc_count{0};
 void* CountedMalloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(a, size == 0 ? a : (size + a - 1) / a * a);
 }
 }  // namespace
 
@@ -71,6 +78,39 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = CountedAlignedAlloc(size, align)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -101,9 +141,23 @@ struct Measurement {
   }
 };
 
-// The process's peak resident set so far, in MB (ru_maxrss is in KB).
+// The process's peak resident set so far, in MB. Linux's VmHWM is this
+// address space's own high-water mark. getrusage's ru_maxrss is not: it
+// keeps the pre-exec peak of the forking parent, so a bench started from
+// tools/bench_trajectory.py would read at least the interpreter's RSS.
 double PeakRssMb() {
-  rusage usage{};
+  if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kb = -1;
+    while (kb < 0 && std::fgets(line, sizeof(line), status) != nullptr) {
+      std::sscanf(line, "VmHWM: %ld kB", &kb);
+    }
+    std::fclose(status);
+    if (kb >= 0) {
+      return static_cast<double>(kb) / 1024.0;
+    }
+  }
+  rusage usage{};  // ru_maxrss is in KB
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }

@@ -432,6 +432,11 @@ void Runtime::DoAssert(bool cond, const std::string& msg) {
   ReportViolation("assertion failed", msg);
 }
 
+bool Runtime::aborting() {
+  std::unique_lock<std::mutex> lk(mu_);
+  return abort_;
+}
+
 void Runtime::ReportViolation(const std::string& kind,
                               const std::string& detail) {
   std::ostringstream os;

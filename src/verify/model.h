@@ -151,6 +151,10 @@ class Runtime {
   [[noreturn]] void ReportViolation(const std::string& kind,
                                     const std::string& detail);
 
+  // True once a violation has aborted the current schedule and its
+  // threads are unwinding.
+  bool aborting();
+
   // Current virtual thread id / clock; Tick() advances the thread's own
   // clock component and returns the new tick (an event timestamp).
   int current_thread() const { return active_; }

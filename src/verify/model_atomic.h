@@ -302,6 +302,9 @@ class ModelCell {
  private:
   void WriteCheck(const char* op) const {
     Runtime* rt = internal::RequireRuntime("ModelCell");
+    // An aborted schedule's destructors may touch cells unordered while
+    // its threads unwind; the violation is already recorded.
+    if (rt->aborting()) return;
     const int me = rt->current_thread();
     const VectorClock& clk = rt->CurrentClock();
     if (last_writer_ >= 0 && last_writer_ != me &&
@@ -333,6 +336,7 @@ class ModelCell {
 
   void ReadCheck(const char* op) const {
     Runtime* rt = internal::RequireRuntime("ModelCell");
+    if (rt->aborting()) return;  // see WriteCheck
     const int me = rt->current_thread();
     const VectorClock& clk = rt->CurrentClock();
     if (last_writer_ >= 0 && last_writer_ != me &&

@@ -4,16 +4,19 @@
 // queue templates instantiated with verify::ModelAtomics, checking the
 // queues' core claims: no lost or duplicated elements, FIFO per producer,
 // no out-of-thin-air reads (a load can only observe a value some store
-// actually wrote), and safe slot reuse across capacity wraparound.
+// actually wrote), and safe slot and segment reuse across wraparound.
 //
 // Deliberately broken queue variants (a missing release on the publish
-// store, a missing acquire on the index refresh) prove the checker finds
-// seeded ordering bugs and emits a replayable counterexample schedule.
+// store or on the segment hand-back, a missing acquire on the index
+// refresh) prove the checker finds seeded ordering bugs and emits a
+// replayable counterexample schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -149,6 +152,106 @@ TEST(ModelSpscRingTest, CapacityOneRingAlternatesSafely) {
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_TRUE(r.exhausted);
   ReportSchedules("spsc_capacity_one", r);
+}
+
+TEST(ModelSpscRingTest, RecycledSegmentIsReusedSafely) {
+  // Capacity 2 gives 2-slot segments: values 0-1 fill the first segment,
+  // 2-3 a fresh second one, and value 4 can only go into the first one
+  // again, recycled once the consumer has popped value 2 and so read the
+  // first segment's link and left it. Values 0-1 pass through before the
+  // threads start, which keeps the tree small; every schedule that pushes
+  // value 4 writes the recycled segment while the consumer runs.
+  Options opts;
+  opts.max_preemptions = 2;
+  constexpr int kValues = 5;
+  long reused = 0;
+  Result r = Explore(opts, [&reused] {
+    ModelRing ring(2);
+    std::vector<int> popped;
+    for (int v = 0; v < 2; ++v) {
+      ring.TryPush(v);
+      popped.push_back(*ring.TryPop());
+    }
+    int pushed = 2;
+    Spawn([&] {
+      for (int v = 2; v < kValues; ++v) {
+        int attempts = 0;
+        while (!ring.TryPush(v)) {
+          if (++attempts > 2) return;
+          Yield();
+        }
+        ++pushed;
+      }
+    });
+    Spawn([&] {
+      int empty_polls = 0;
+      while (static_cast<int>(popped.size()) < kValues && empty_polls < 4) {
+        std::optional<int> v = ring.TryPop();
+        if (v.has_value()) {
+          popped.push_back(*v);
+        } else {
+          ++empty_polls;
+          Yield();
+        }
+      }
+    });
+    JoinAll();
+    while (std::optional<int> v = ring.TryPop()) {
+      popped.push_back(*v);
+    }
+    ModelAssert(static_cast<int>(popped.size()) == pushed,
+                "popped count != pushed count (lost or duplicated element)");
+    for (size_t i = 0; i < popped.size(); ++i) {
+      ModelAssert(popped[i] == static_cast<int>(i),
+                  "FIFO order violated or out-of-thin-air value");
+    }
+    if (pushed == kValues) ++reused;
+  });
+  EXPECT_TRUE(r.ok) << r.message;
+  EXPECT_TRUE(r.exhausted) << "exploration hit a safety cap";
+  EXPECT_GT(reused, 100) << "too few schedules reached the recycled segment";
+  ReportSchedules("spsc_segment_reuse", r);
+  std::printf("[ model ] spsc_segment_reuse: %ld schedules wrote the "
+              "recycled segment\n",
+              reused);
+}
+
+TEST(ModelSpscRingTest, MultiSegmentRingRecyclesOnlyLeftSegments) {
+  // Capacity 64 gives two 32-slot segments' worth of capacity, so the
+  // capacity check alone does not order a reuse: at index 64 the producer
+  // may recycle the first segment with its head knowledge from the
+  // crossing's own refresh. Indices 0-63 are pushed and 0-31 popped before
+  // the threads start; then the consumer leaves the first segment (pops
+  // index 32) while the producer crosses into a third segment (pushes
+  // index 64), reusing the first one only if it sees the consumer gone.
+  Options opts;
+  opts.max_preemptions = 2;
+  Result r = Explore(opts, [] {
+    ModelRing ring(64);
+    for (int v = 0; v < 64; ++v) ring.TryPush(v);
+    for (int v = 0; v < 32; ++v) ring.TryPop();
+    bool pushed = false;
+    std::vector<int> popped;
+    Spawn([&] { pushed = ring.TryPush(64); });
+    Spawn([&] {
+      for (int i = 0; i < 2; ++i) {
+        if (std::optional<int> v = ring.TryPop()) popped.push_back(*v);
+      }
+    });
+    JoinAll();
+    while (std::optional<int> v = ring.TryPop()) {
+      popped.push_back(*v);
+    }
+    ModelAssert(pushed, "push refused below capacity");
+    ModelAssert(popped.size() == 33, "lost or duplicated element");
+    for (size_t i = 0; i < popped.size(); ++i) {
+      ModelAssert(popped[i] == static_cast<int>(32 + i),
+                  "FIFO order violated or out-of-thin-air value");
+    }
+  });
+  EXPECT_TRUE(r.ok) << r.message;
+  EXPECT_TRUE(r.exhausted) << "exploration hit a safety cap";
+  ReportSchedules("spsc_multi_segment_reuse", r);
 }
 
 // --- MpscQueue: multi-producer delivery ------------------------------------
@@ -418,6 +521,154 @@ TEST(ModelSeededBugTest, RelaxedHeadRefreshWraparoundOverwriteIsCaught) {
   EXPECT_FALSE(r.trace.empty());
   std::printf("[ model ] seeded head-refresh bug found after %ld schedules\n",
               r.schedules);
+}
+
+// The segmented SpscRing with the consumer's hand-back, its head_ store,
+// downgraded to relaxed. The producer recycles the oldest segment once it
+// sees head_ past that segment, so the consumer's takes of its slots and
+// its read of the segment link are no longer ordered before the
+// producer's reuse. Fresh segments hide the bug; the checker reports it
+// as a data race on a cell of the recycled segment. A compact copy of
+// the ring's TryPush/TryPop, as in the seeded rings above.
+template <typename T, typename Policy>
+class RelaxedHandBackRing {
+ public:
+  explicit RelaxedHandBackRing(size_t capacity) {
+    size_t cap = 1;
+    while (cap < capacity) cap <<= 1;
+    mask_ = cap - 1;
+    seg_slots_ = std::min<size_t>(cap, 32);
+    first_ = prod_seg_ = cons_seg_ = NewSegment();
+    first_end_ = prod_end_ = cons_end_ = seg_slots_;
+  }
+
+  bool TryPush(T value) {
+    const size_t tail = tail_.load(std::memory_order_relaxed);
+    if (tail - cached_head_ > mask_) {
+      cached_head_ = head_.load(std::memory_order_acquire);
+      if (tail - cached_head_ > mask_) return false;
+    }
+    if (tail == prod_end_) {
+      if (cached_head_ <= first_end_ && first_end_ < tail) {
+        cached_head_ = head_.load(std::memory_order_acquire);
+      }
+      Segment* seg;
+      if (cached_head_ > first_end_) {
+        seg = first_;
+        first_ = seg->next.Get();
+        first_end_ += seg_slots_;
+        seg->next.Set(nullptr);
+      } else {
+        seg = NewSegment();
+      }
+      prod_seg_->next.Set(seg);
+      prod_seg_ = seg;
+      prod_end_ = tail + seg_slots_;
+    }
+    prod_seg_->slots[tail % seg_slots_].Set(std::move(value));
+    tail_.store(tail + 1, std::memory_order_release);
+    return true;
+  }
+
+  std::optional<T> TryPop() {
+    const size_t head = head_.load(std::memory_order_relaxed);
+    if (head == cached_tail_) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+      if (head == cached_tail_) return std::nullopt;
+    }
+    if (head == cons_end_) {
+      cons_seg_ = cons_seg_->next.Get();
+      cons_end_ += seg_slots_;
+    }
+    T value = cons_seg_->slots[head % seg_slots_].Take();
+    head_.store(head + 1, std::memory_order_relaxed);  // BUG: no release
+    return value;
+  }
+
+ private:
+  struct Segment {
+    explicit Segment(size_t n) : slots(n) {}
+    typename Policy::template Cell<Segment*> next;
+    std::vector<typename Policy::template Cell<T>> slots;
+  };
+
+  // Owns every segment, so a schedule aborted mid-recycle leaks none.
+  Segment* NewSegment() {
+    segments_.push_back(std::make_unique<Segment>(seg_slots_));
+    return segments_.back().get();
+  }
+
+  std::vector<std::unique_ptr<Segment>> segments_;
+  size_t mask_ = 0;
+  size_t seg_slots_ = 0;
+  typename Policy::template Atomic<size_t> head_{0};
+  size_t cached_tail_ = 0;
+  Segment* cons_seg_ = nullptr;
+  size_t cons_end_ = 0;
+  typename Policy::template Atomic<size_t> tail_{0};
+  size_t cached_head_ = 0;
+  Segment* prod_seg_ = nullptr;
+  size_t prod_end_ = 0;
+  Segment* first_ = nullptr;
+  size_t first_end_ = 0;
+};
+
+// Pushes `values` through a capacity-2 RelaxedHandBackRing; as in
+// RecycledSegmentIsReusedSafely, values 0-1 pass before the threads start.
+Result ExploreRelaxedHandBack(int values) {
+  Options opts;
+  opts.max_preemptions = 2;
+  return Explore(opts, [values] {
+    RelaxedHandBackRing<int, verify::ModelAtomics> ring(2);
+    for (int v = 0; v < 2; ++v) {
+      ring.TryPush(v);
+      ring.TryPop();
+    }
+    Spawn([&] {
+      for (int v = 2; v < values; ++v) {
+        int attempts = 0;
+        while (!ring.TryPush(v)) {
+          if (++attempts > 2) return;
+          Yield();
+        }
+      }
+    });
+    Spawn([&] {
+      int empty_polls = 0;
+      int got = 2;
+      while (got < values && empty_polls < 4) {
+        if (ring.TryPop().has_value()) {
+          ++got;
+        } else {
+          ++empty_polls;
+          Yield();
+        }
+      }
+    });
+    JoinAll();
+  });
+}
+
+TEST(ModelSeededBugTest, RelaxedSegmentHandBackIsCaughtOnReuse) {
+  // Four values only fill the first segment and a fresh second one:
+  // nothing is recycled, so the relaxed hand-back orders nothing that
+  // matters and every schedule is clean.
+  Result fresh = ExploreRelaxedHandBack(4);
+  EXPECT_TRUE(fresh.ok) << fresh.message;
+  EXPECT_TRUE(fresh.exhausted);
+  // The fifth value reuses the first segment: the race is found there.
+  Result r = ExploreRelaxedHandBack(5);
+  EXPECT_FALSE(r.ok) << "checker failed to find the seeded relaxed "
+                        "hand-back bug";
+  EXPECT_NE(r.message.find("data race"), std::string::npos) << r.message;
+  EXPECT_FALSE(r.trace.empty());
+  // The first line names the racing cell: the recycled segment's link,
+  // which the producer resets while the consumer's read of it is
+  // unordered.
+  std::printf("[ model ] seeded relaxed hand-back bug found after %ld "
+              "schedules (clean over %ld schedules without reuse): %s\n",
+              r.schedules, fresh.schedules,
+              r.message.substr(0, r.message.find('\n')).c_str());
 }
 
 // MpscQueue with the next-pointer publish downgraded to relaxed: the

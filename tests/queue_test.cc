@@ -138,6 +138,118 @@ TEST(SpscRingTest, PeekTracksHeadAcrossWraparound) {
   EXPECT_EQ(ring.Peek(), nullptr);
 }
 
+// A slot value that counts its default constructions: a ring
+// value-initializes the slots of each segment it allocates.
+struct CountedSlot {
+  static inline int default_constructed = 0;
+  CountedSlot() { ++default_constructed; }
+  explicit CountedSlot(int v) : value(v) {}
+  int value = 0;
+};
+
+TEST(SpscRingTest, MemoryFollowsOccupancyNotCapacity) {
+  CountedSlot::default_constructed = 0;
+  {
+    SpscRing<CountedSlot> ring(1024);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_TRUE(ring.TryPush(CountedSlot(i)));
+      ASSERT_EQ(ring.TryPop()->value, i);
+    }
+  }
+  // One element in flight needs the segment being filled plus the one
+  // the consumer is leaving; the rest of the 1024 slots never exist.
+  EXPECT_LE(CountedSlot::default_constructed,
+            2 * static_cast<int>(SpscRing<CountedSlot>::kSegmentSlots));
+}
+
+TEST(SpscRingTest, FillsToCapacityAcrossSegmentBoundaries) {
+  // 100 and 33 are not powers of two; 33 rounds to exactly two segments.
+  for (size_t requested : {size_t{100}, size_t{33}, size_t{64}, size_t{1024}}) {
+    SpscRing<int> ring(requested);
+    const int cap = static_cast<int>(ring.capacity());
+    ASSERT_GE(ring.capacity(), requested);
+    int next = 0;
+    int expect = 0;
+    // Offset the indices first so the fill starts mid-segment, then fill
+    // and drain twice: the second fill runs on recycled segments.
+    for (int i = 0; i < 7; ++i) {
+      ASSERT_TRUE(ring.TryPush(next++));
+      ASSERT_EQ(ring.TryPop().value(), expect++);
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < cap; ++i) {
+        ASSERT_TRUE(ring.TryPush(next++)) << "requested " << requested;
+      }
+      EXPECT_TRUE(ring.full());
+      EXPECT_FALSE(ring.TryPush(-1));
+      EXPECT_EQ(static_cast<int>(ring.size()), cap);
+      for (int i = 0; i < cap; ++i) {
+        ASSERT_EQ(ring.TryPop().value(), expect++);
+      }
+      EXPECT_TRUE(ring.empty());
+      EXPECT_FALSE(ring.TryPop().has_value());
+    }
+  }
+}
+
+TEST(SpscRingTest, PeekSeesNextSegmentBeforeConsumerMovesOntoIt) {
+  SpscRing<int> ring(64);
+  const int seg = static_cast<int>(SpscRing<int>::kSegmentSlots);
+  for (int i = 0; i <= seg; ++i) {
+    ASSERT_TRUE(ring.TryPush(i));  // index `seg` opens the second segment
+  }
+  for (int i = 0; i < seg; ++i) {
+    ASSERT_EQ(ring.TryPop().value(), i);
+  }
+  // The consumer still sits on the first segment; the head is slot 0 of
+  // the second one.
+  ASSERT_NE(ring.Peek(), nullptr);
+  EXPECT_EQ(*ring.Peek(), seg);
+  EXPECT_EQ(ring.TryPop().value(), seg);
+  EXPECT_EQ(ring.Peek(), nullptr);
+
+  // One-slot segments: every head is a segment's first slot.
+  SpscRing<int> one(1);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(one.TryPush(i));
+    ASSERT_NE(one.Peek(), nullptr);
+    EXPECT_EQ(*one.Peek(), i);
+    EXPECT_EQ(one.TryPop().value(), i);
+  }
+}
+
+// Counts destructions of live (not moved-from) elements.
+struct Tracked {
+  static inline int destroyed = 0;
+  ~Tracked() { ++destroyed; }
+};
+
+TEST(SpscRingTest, DestroyingRingFreesInFlightElementsAcrossBoundary) {
+  const int seg = static_cast<int>(SpscRing<int>::kSegmentSlots);
+  Tracked::destroyed = 0;
+  {
+    SpscRing<std::unique_ptr<Tracked>> ring(128);
+    SpscRing<std::vector<int>> vectors(128);
+    // Leave elements in flight on both sides of a segment boundary, with
+    // a recycled segment on the chain.
+    for (int i = 0; i < 3 * seg + 5; ++i) {
+      ASSERT_TRUE(ring.TryPush(std::make_unique<Tracked>()));
+      ASSERT_TRUE(vectors.TryPush(std::vector<int>(100, i)));
+    }
+    for (int i = 0; i < 2 * seg + seg / 2; ++i) {
+      ASSERT_TRUE(ring.TryPop().has_value());
+      ASSERT_EQ(vectors.TryPop().value().front(), i);
+    }
+    for (int i = 0; i < seg; ++i) {
+      ASSERT_TRUE(ring.TryPush(std::make_unique<Tracked>()));
+      ASSERT_TRUE(vectors.TryPush(std::vector<int>(100, i)));
+    }
+    EXPECT_EQ(Tracked::destroyed, 2 * seg + seg / 2);
+  }
+  // The ring destroyed everything still in flight.
+  EXPECT_EQ(Tracked::destroyed, 4 * seg + 5);
+}
+
 TEST(SpscRingTest, ConcurrentProducerConsumerPreservesFifo) {
   SpscRing<int> ring(64);
   // Modest count with yields: the CI machine may have a single core, so

@@ -38,7 +38,10 @@ level under "latest" for easy reading.
                  when the trials spread (max - min) wider than the bar,
                  it is reported as inconclusive instead of as a number.
                  The process peak RSS (and the rack's own, measured
-                 right after it) is recorded and printed, not gated.
+                 right after it) is recorded and printed; the rack's
+                 own is gated at RACK_PEAK_RSS_CEILING_MB (full and
+                 smoke ceilings), a property of the code's memory
+                 footprint rather than of the runner's speed.
   qos_isolation  the weight-3 victim must retain >= 0.9 of its offered
                  goodput under the 4x aggressor (isolation_ratio), and
                  the qos-off run must still show the collapse the
@@ -72,6 +75,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Acceptance bar for the engine profiler's events/sec overhead (sim_speed).
 PROFILER_OVERHEAD_BAR_PCT = 5.0
+
+# Ceilings on rack_fig6b's peak RSS in MB, keyed by smoke mode: about 1.5x
+# what the segment-backed SpscRing measured (10.3 MB full, 8.0 MB smoke, on
+# a 4-core x86-64 VM) and below the flat rings' 22.0 / 20.3 MB, so rings
+# that again allocate their whole capacity fail the gate.
+RACK_PEAK_RSS_CEILING_MB = {False: 15.0, True: 12.0}
 
 
 def git_revision():
@@ -274,8 +283,14 @@ def main():
 
     rack = entry["benchmarks"].get("rack_fig6b", {}).get("timer_wheel", {})
     if "peak_rss_mb" in entry:
-        print(f"peak RSS: rack_fig6b {rack.get('peak_rss_mb', 0):.1f} MB, "
-              f"whole process {entry['peak_rss_mb']:.1f} MB")
+        rss = rack.get("peak_rss_mb", 0.0)
+        ceiling = RACK_PEAK_RSS_CEILING_MB[bool(entry.get("smoke"))]
+        print(f"peak RSS: rack_fig6b {rss:.1f} MB (ceiling <= "
+              f"{ceiling:g} MB), whole process "
+              f"{entry['peak_rss_mb']:.1f} MB")
+        if args.baseline_check and rss > ceiling:
+            sys.exit(f"baseline check FAILED: rack_fig6b peak RSS "
+                     f"{rss:.1f} MB above {ceiling:g} MB")
     if entry.get("smoke"):
         # The recorded pre-PR baseline was measured on the full workload,
         # where fixed warmup/setup costs amortize; the smoke workload is an

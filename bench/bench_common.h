@@ -35,6 +35,15 @@ class Rack {
   SimHost* host(int i) { return hosts_[i].get(); }
   int size() const { return static_cast<int>(hosts_.size()); }
 
+  // The surface rack-generic workloads drive (bench/rpc_rack.h);
+  // ShardedRack offers the same.
+  void RunFor(SimDuration duration) { sim_.RunFor(duration); }
+  SimTime now() const { return sim_.now(); }
+  int64_t TotalEventsFired() const {
+    return sim_.event_queue().stats().fired;
+  }
+  int64_t TotalPacketsDelivered() const { return fabric_.stats().delivered; }
+
  private:
   Simulator sim_;
   PonyDirectory directory_;
@@ -43,10 +52,13 @@ class Rack {
 };
 
 // Snapshot of per-host CPU consumption, for windowed "CPU/sec" readings.
+// Works over any rack that hands out SimHosts by index (Rack,
+// ShardedRack).
 struct CpuSnapshot {
   std::vector<int64_t> totals;
 
-  static CpuSnapshot Take(Rack& rack) {
+  template <typename RackT>
+  static CpuSnapshot Take(RackT& rack) {
     CpuSnapshot snap;
     for (int i = 0; i < rack.size(); ++i) {
       SimHost* h = rack.host(i);

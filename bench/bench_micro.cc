@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the hot-path primitives: SPSC
 // ring (single-threaded and a two-thread ping-pong), engine mailbox,
-// CRC32C, wire encode/decode, histogram recording, packet pool, and the
-// discrete-event core. These are wall-clock benchmarks of the library
-// code itself, not simulated time.
+// CRC32C, wire encode/decode, histogram recording, and the discrete-event
+// core. These are wall-clock benchmarks of the library code itself, not
+// simulated time.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "src/packet/crc32.h"
-#include "src/packet/packet_pool.h"
 #include "src/packet/wire.h"
 #include "src/queue/mailbox.h"
 #include "src/queue/spsc_ring.h"
@@ -136,17 +135,6 @@ void BM_HistogramPercentile(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramPercentile);
 
-void BM_PacketPoolAllocFree(benchmark::State& state) {
-  PacketPool pool(1024);
-  for (auto _ : state) {
-    PacketPtr p = pool.Allocate();
-    benchmark::DoNotOptimize(p);
-    pool.Free(std::move(p));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacketPoolAllocFree);
-
 void BM_SimulatorEventChurn(benchmark::State& state) {
   // Cost of scheduling + dispatching one event through the global queue.
   for (auto _ : state) {
@@ -163,23 +151,6 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorEventChurn);
-
-void BM_PacketPoolRecycleWithPayload(benchmark::State& state) {
-  // Alloc + payload write + free with a hot freelist: measures whether the
-  // pool actually avoids payload reallocation (state.range is the payload
-  // size, covering the ack and 5kB-MTU classes).
-  const size_t payload = static_cast<size_t>(state.range(0));
-  PacketPool pool(1024);
-  pool.Free(pool.Allocate(payload));  // prime the size class
-  for (auto _ : state) {
-    PacketPtr p = pool.Allocate(payload);
-    p->data.resize(payload);
-    benchmark::DoNotOptimize(p->data.data());
-    pool.Free(std::move(p));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacketPoolRecycleWithPayload)->Arg(64)->Arg(1984)->Arg(4936);
 
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   // Steady-state schedule+fire with a populated queue (the simulation hot

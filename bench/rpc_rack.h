@@ -4,7 +4,9 @@
 #ifndef BENCH_RPC_RACK_H_
 #define BENCH_RPC_RACK_H_
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -48,14 +50,17 @@ struct RpcRackResult {
   std::string telemetry_dashboard;
 };
 
-// Runs the rack over Pony Express engines.
-inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
-                                    SimDuration warmup, SimDuration window) {
-  Rack rack(config.seed, config.hosts, config.host_options,
-            config.nic_params);
-  if (config.tracer != nullptr) {
-    rack.sim().set_tracer(config.tracer);
-  }
+// The Pony Express workload, assembled once for both rack kinds. `rack`
+// is a Rack or a ShardedRack: anything that hands out SimHosts by index,
+// runs for a duration and reports its event, packet and clock totals.
+// Engines, clients, tasks and seeds are created in one fixed order, so a
+// given config builds the same workload on either rack. `at_window`, when
+// set, runs after the warm-up reset, right before the measured window.
+template <typename RackT>
+RpcRackResult RunPonyRpcWorkload(const RpcRackConfig& config, RackT& rack,
+                                 SimDuration warmup, SimDuration window,
+                                 const std::function<void()>& at_window =
+                                     nullptr) {
   double per_job_rate =
       config.offered_gbps_per_host * 1e9 /
       (8.0 * static_cast<double>(config.response_bytes) *
@@ -139,7 +144,7 @@ inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
     p->Start();
   }
 
-  rack.sim().RunFor(warmup);
+  rack.RunFor(warmup);
   for (auto& per_host : jobs) {
     for (auto& job : per_host) {
       job.client_task->ResetStats();
@@ -148,8 +153,11 @@ inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
   for (auto& p : probers) {
     p->ResetStats();
   }
+  if (at_window) {
+    at_window();
+  }
   CpuSnapshot cpu0 = CpuSnapshot::Take(rack);
-  rack.sim().RunFor(window);
+  rack.RunFor(window);
   CpuSnapshot cpu1 = CpuSnapshot::Take(rack);
 
   RpcRackResult result;
@@ -169,9 +177,21 @@ inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
   for (auto& p : probers) {
     result.prober_latency.Merge(p->latency());
   }
-  result.sim_events = rack.sim().event_queue().stats().fired;
-  result.fabric_packets = rack.fabric().stats().delivered;
-  result.sim_end_time = rack.sim().now();
+  result.sim_events = rack.TotalEventsFired();
+  result.fabric_packets = rack.TotalPacketsDelivered();
+  result.sim_end_time = rack.now();
+  return result;
+}
+
+// Runs the rack over Pony Express engines.
+inline RpcRackResult RunPonyRpcRack(const RpcRackConfig& config,
+                                    SimDuration warmup, SimDuration window) {
+  Rack rack(config.seed, config.hosts, config.host_options,
+            config.nic_params);
+  if (config.tracer != nullptr) {
+    rack.sim().set_tracer(config.tracer);
+  }
+  RpcRackResult result = RunPonyRpcWorkload(config, rack, warmup, window);
   if (config.tracer != nullptr) {
     rack.sim().event_queue().ExportStats(&rack.sim().telemetry(),
                                          "sim/event_queue");

@@ -69,12 +69,19 @@ class ShardedRack {
   SimHost* host(int i) { return hosts_[i].get(); }
   int size() const { return static_cast<int>(hosts_.size()); }
 
+  // The surface rack-generic workloads drive (bench/rpc_rack.h), as on
+  // the serial Rack.
+  void RunFor(SimDuration duration) { sharded_.RunFor(duration); }
+  SimTime now() const { return sharded_.now(); }
   int64_t TotalEventsFired() const {
     int64_t total = 0;
     for (int s = 0; s < sharded_.num_shards(); ++s) {
       total += sharded_.sim(s)->event_queue().stats().fired;
     }
     return total;
+  }
+  int64_t TotalPacketsDelivered() const {
+    return group_.AggregateStats().delivered;
   }
 
  private:
@@ -108,7 +115,7 @@ struct ShardedRackResult {
 
 // Workload-declared traffic hint for shard placement: the rack's offered
 // load as a host-to-host weight matrix, built from the same peer rules
-// the assembly below uses (bulk jobs peer cluster-locally when
+// the assembly in rpc_rack.h uses (bulk jobs peer cluster-locally when
 // cluster_hosts > 0, probers all-to-all), so
 // Placement::TrafficAware(BuildRackTrafficMatrix(config), shards) packs
 // each cluster's heavy mutual traffic onto one shard. Weights are
@@ -132,9 +139,8 @@ inline TrafficMatrix BuildRackTrafficMatrix(const RpcRackConfig& config) {
   return traffic;
 }
 
-// The RunPonyRpcRack workload on a ShardedRack. Keep the assembly in
-// lockstep with rpc_rack.h: same engine/job/prober layout, same seeds,
-// so the delivered work is comparable serial-vs-sharded.
+// The RunPonyRpcRack workload on a ShardedRack: both run the one
+// assembly in rpc_rack.h, so wiring and seeds are the serial rack's.
 // `enable_profiling` arms the engine profiler (wall-clock busy/wait per
 // shard + deterministic epoch counters) and barrier-driven series
 // sampling; `profile_json`, when non-null, receives
@@ -165,126 +171,11 @@ inline ShardedRackResult RunPonyRpcRackSharded(const RpcRackConfig& config,
     rack.sharded().EnableSeriesSampling(/*cadence=*/500 * kUsec);
     rack.group().EnableProfiling();
   }
-  double per_job_rate =
-      config.offered_gbps_per_host * 1e9 /
-      (8.0 * static_cast<double>(config.response_bytes) *
-       config.jobs_per_host);
-
-  struct Job {
-    PonyEngine* engine;
-    std::unique_ptr<PonyClient> client_side;
-    std::unique_ptr<PonyClient> server_side;
-    std::unique_ptr<PonyRpcClientTask> client_task;
-    std::unique_ptr<PonyRpcServerTask> server_task;
-  };
-  std::vector<std::vector<Job>> jobs(config.hosts);
-  std::vector<PonyAddress> all_addresses;
-
-  for (int h = 0; h < config.hosts; ++h) {
-    for (int j = 0; j < config.jobs_per_host; ++j) {
-      Job job;
-      job.engine = rack.host(h)->CreatePonyEngine(
-          "job" + std::to_string(h) + "_" + std::to_string(j));
-      job.client_side = rack.host(h)->CreateClient(job.engine, "cli");
-      job.server_side = rack.host(h)->CreateClient(job.engine, "srv");
-      job.engine->SetDefaultSink(job.server_side.get());
-      all_addresses.push_back(job.engine->address());
-      jobs[h].push_back(std::move(job));
-    }
-  }
-  std::vector<std::unique_ptr<PonyClient>> prober_clients;
-  std::vector<std::unique_ptr<PonyRpcClientTask>> probers;
-  for (int h = 0; h < config.hosts; ++h) {
-    PonyEngine* pe = rack.host(h)->CreatePonyEngine(
-        "prober" + std::to_string(h));
-    prober_clients.push_back(rack.host(h)->CreateClient(pe, "prober"));
-    PonyRpcClientTask::Options po;
-    po.rpcs_per_sec = config.prober_qps;
-    po.request_bytes = 64;
-    po.response_bytes = 64;
-    po.spin = config.prober_spins;
-    po.rng_seed = config.seed + 1000 + h;
-    for (const PonyAddress& addr : all_addresses) {
-      if (addr.host != h) {
-        po.peers.push_back(addr);
-      }
-    }
-    probers.push_back(std::make_unique<PonyRpcClientTask>(
-        "prober" + std::to_string(h), rack.host(h)->cpu(),
-        prober_clients.back().get(), po));
-  }
-  for (int h = 0; h < config.hosts; ++h) {
-    for (int j = 0; j < config.jobs_per_host; ++j) {
-      Job& job = jobs[h][j];
-      job.server_task = std::make_unique<PonyRpcServerTask>(
-          "rpc_srv", rack.host(h)->cpu(), job.server_side.get());
-      job.server_task->Start();
-      PonyRpcClientTask::Options co;
-      co.rpcs_per_sec = per_job_rate;
-      co.request_bytes = 64;
-      co.response_bytes = config.response_bytes;
-      co.rng_seed = config.seed + h * 100 + j;
-      for (const PonyAddress& addr : all_addresses) {
-        if (addr == job.engine->address()) {
-          continue;
-        }
-        if (config.cluster_hosts > 0 &&
-            addr.host / config.cluster_hosts != h / config.cluster_hosts) {
-          continue;  // bulk traffic stays cluster-local (as in rpc_rack.h)
-        }
-        co.peers.push_back(addr);
-      }
-      job.client_task = std::make_unique<PonyRpcClientTask>(
-          "rpc_cli", rack.host(h)->cpu(), job.client_side.get(), co);
-      job.client_task->Start();
-    }
-  }
-  for (auto& p : probers) {
-    p->Start();
-  }
-
-  rack.sharded().RunFor(warmup);
-  for (auto& per_host : jobs) {
-    for (auto& job : per_host) {
-      job.client_task->ResetStats();
-    }
-  }
-  for (auto& p : probers) {
-    p->ResetStats();
-  }
-  // Per-host CPU totals, windowed like CpuSnapshot but over the sharded
-  // rack's hosts.
-  auto cpu_total = [&rack] {
-    int64_t total = 0;
-    for (int i = 0; i < rack.size(); ++i) {
-      SimHost* h = rack.host(i);
-      total += h->SnapCpuNs() + h->KernelCpuNs() + h->AppCpuNs();
-    }
-    return total;
-  };
-  int64_t cpu0 = cpu_total();
-  const ShardedSim::Progress progress0 = rack.sharded().progress();
-  rack.sharded().RunFor(window);
-  int64_t cpu1 = cpu_total();
-
+  ShardedSim::Progress progress0;
   ShardedRackResult result;
-  result.rack.cpu_per_machine = static_cast<double>(cpu1 - cpu0) /
-                                static_cast<double>(window) / config.hosts;
-  int64_t bytes = 0;
-  for (auto& per_host : jobs) {
-    for (auto& job : per_host) {
-      bytes += job.client_task->bytes_transferred();
-      result.rack.background_rpcs += job.client_task->rpcs_completed();
-    }
-  }
-  result.rack.gbps_per_machine = static_cast<double>(bytes) * 2.0 * 8.0 /
-                                 ToSec(window) / 1e9 / config.hosts;
-  for (auto& p : probers) {
-    result.rack.prober_latency.Merge(p->latency());
-  }
-  result.rack.sim_events = rack.TotalEventsFired();
-  result.rack.fabric_packets = rack.group().AggregateStats().delivered;
-  result.rack.sim_end_time = rack.sharded().now();
+  result.rack = RunPonyRpcWorkload(config, rack, warmup, window, [&] {
+    progress0 = rack.sharded().progress();
+  });
 
   const ShardedSim::Progress& progress = rack.sharded().progress();
   result.epochs = progress.epochs - progress0.epochs;

@@ -9,10 +9,7 @@ namespace snap {
 std::unique_ptr<PonyClient> LiveHost::CreateClient(
     const std::string& app_name) {
   SNAP_CHECK(!executor_->running()) << "CreateClient is setup-phase only";
-  // Same global-uniqueness scheme as PonyModule::CreateClient: stream ids
-  // derive from client ids and demux at remote engines.
-  uint64_t client_id =
-      (static_cast<uint64_t>(host_id_ + 1) << 20) | next_client_id_++;
+  uint64_t client_id = GlobalClientId(host_id_, next_client_id_++);
   auto client = std::make_unique<PonyClient>(app_name, client_id,
                                              engine_.get(), app_params_);
   engine_->AttachClient(client.get());

@@ -49,8 +49,8 @@ class LiveHost {
   int host_id() const { return host_id_; }
 
   // Application bootstrap (setup phase only): command/completion rings
-  // shared with the engine. Client ids follow the sim's global-uniqueness
-  // scheme so stream ids never collide across hosts.
+  // shared with the engine. Client ids come from GlobalClientId, as in
+  // the sim, so stream ids never collide across hosts.
   std::unique_ptr<PonyClient> CreateClient(const std::string& app_name);
 
  private:

@@ -29,6 +29,15 @@ namespace snap {
 
 class PonyEngine;
 
+// The id of the `n`th client (n >= 1) created on `host_id`. Client ids
+// must be globally unique: stream ids derive from them and are
+// demultiplexed at REMOTE engines, so two hosts minting the same id would
+// cross-deliver each other's messages. The sim's PonyModule and the live
+// LiveHost both mint ids here.
+inline uint64_t GlobalClientId(int host_id, uint64_t n) {
+  return (static_cast<uint64_t>(host_id + 1) << 20) | n;
+}
+
 class PonyClient {
  public:
   PonyClient(std::string app_name, uint64_t client_id, PonyEngine* engine,

@@ -48,11 +48,7 @@ std::vector<std::pair<uint64_t, MemoryRegion*>> PonyModule::RegionsOf(
 
 std::unique_ptr<PonyClient> PonyModule::CreateClient(
     PonyEngine* engine, const std::string& app_name) {
-  // Client ids must be globally unique: stream ids derive from them and
-  // are demultiplexed at REMOTE engines, so two hosts minting the same id
-  // would cross-deliver each other's messages.
-  uint64_t client_id =
-      (static_cast<uint64_t>(nic_->host_id() + 1) << 20) | next_client_id_++;
+  uint64_t client_id = GlobalClientId(nic_->host_id(), next_client_id_++);
   auto client = std::make_unique<PonyClient>(app_name, client_id, engine,
                                              app_params_);
   engine->AttachClient(client.get());

@@ -1,7 +1,7 @@
 // Atomics policy for the lock-free queue templates.
 //
-// Snap's dataplane rests on three lock-free shared-memory primitives
-// (SpscRing, MpscQueue, EngineMailbox). Their correctness depends on a
+// Snap's dataplane rests on two lock-free shared-memory primitives
+// (SpscRing, EngineMailbox). Their correctness depends on a
 // handful of memory_order annotations that no amount of ordinary testing
 // can exhaustively exercise. To make them *model-checkable*, each queue is
 // parameterized over an atomics policy:

@@ -13,12 +13,10 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "src/queue/mpsc_queue.h"
 #include "src/queue/spsc_ring.h"
 
 namespace snap {
@@ -166,78 +164,6 @@ TEST(EpochExchangeStressTest, SpscRingOverflowSpillKeepsOrder) {
   }
   EXPECT_EQ(drained_total, int64_t{kProducers} * kRounds * kBurst);
   EXPECT_GT(spilled_total, 0) << "burst > capacity must spill";
-}
-
-// MPSC variant: all producers share one Vyukov intrusive queue toward the
-// coordinator (the shape an N^2-channel-averse exchange would use).
-// Push is wait-free from any thread; Pop is single-consumer and may
-// return nullptr while a push is mid-flight, so the barrier-time drain
-// spins until it has every node the epoch staged.
-TEST(EpochExchangeStressTest, MpscQueueBurstAndBarrierDrain) {
-  constexpr int kProducers = 4;
-  constexpr int kRounds = 150;
-  constexpr int kBurst = 1000;
-
-  struct Item : MpscNode {
-    uint64_t value = 0;
-  };
-  // Pre-allocated per-producer node arenas, recycled every round after the
-  // coordinator hands them back (nodes must not be reused until popped).
-  // deque: Item embeds an atomic link and must not relocate.
-  std::vector<std::deque<Item>> arenas(kProducers);
-  for (auto& arena : arenas) {
-    arena.resize(kBurst);
-  }
-
-  MpscQueue queue;
-  std::barrier<> staged(kProducers + 1);
-  std::barrier<> drained(kProducers + 1);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([p, &arenas, &queue, &staged, &drained] {
-      uint64_t seq = 0;
-      for (int round = 0; round < kRounds; ++round) {
-        for (int i = 0; i < kBurst; ++i) {
-          Item* item = &arenas[p][i];
-          item->value = Tag(p, seq++);
-          queue.Push(item);
-        }
-        staged.arrive_and_wait();
-        drained.arrive_and_wait();
-      }
-    });
-  }
-
-  std::vector<uint64_t> next_seq(kProducers, 0);
-  int64_t drained_total = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    staged.arrive_and_wait();
-    // All producers are parked, so every push's tail link is visible or
-    // becomes visible after finitely many retries; drain until we have
-    // the whole epoch.
-    int64_t expect = int64_t{kProducers} * kBurst;
-    int64_t got = 0;
-    while (got < expect) {
-      MpscNode* node = queue.Pop();
-      if (node == nullptr) {
-        continue;  // empty or mid-push hiccup; retry
-      }
-      uint64_t v = static_cast<Item*>(node)->value;
-      int producer = static_cast<int>(v >> 48);
-      uint64_t seq = v & ((uint64_t{1} << 48) - 1);
-      ASSERT_EQ(seq, next_seq[producer]) << "per-producer FIFO broken";
-      ++next_seq[producer];
-      ++got;
-      ++drained_total;
-    }
-    EXPECT_EQ(queue.Pop(), nullptr) << "queue not empty after full drain";
-    drained.arrive_and_wait();
-  }
-  for (std::thread& t : producers) {
-    t.join();
-  }
-  EXPECT_EQ(drained_total, int64_t{kProducers} * kRounds * kBurst);
 }
 
 }  // namespace

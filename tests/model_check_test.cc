@@ -2,7 +2,7 @@
 // (src/verify/). Each test enumerates every interleaving (within the
 // preemption bound) of small producer/consumer programs against the real
 // queue templates instantiated with verify::ModelAtomics, checking the
-// queues' core claims: no lost or duplicated elements, FIFO per producer,
+// queues' core claims: no lost or duplicated elements, FIFO order,
 // no out-of-thin-air reads (a load can only observe a value some store
 // actually wrote), and safe slot and segment reuse across wraparound.
 //
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/queue/mailbox.h"
-#include "src/queue/mpsc_queue.h"
 #include "src/queue/spsc_ring.h"
 #include "src/verify/model.h"
 #include "src/verify/model_atomic.h"
@@ -39,8 +38,6 @@ using verify::Spawn;
 using verify::Yield;
 
 using ModelRing = SpscRing<int, verify::ModelAtomics>;
-using ModelMpscQueue = BasicMpscQueue<verify::ModelAtomics>;
-using ModelMpscNode = BasicMpscNode<verify::ModelAtomics>;
 using ModelMailbox = BasicEngineMailbox<verify::ModelAtomics>;
 
 void ReportSchedules(const char* what, const Result& r) {
@@ -252,73 +249,6 @@ TEST(ModelSpscRingTest, MultiSegmentRingRecyclesOnlyLeftSegments) {
   EXPECT_TRUE(r.ok) << r.message;
   EXPECT_TRUE(r.exhausted) << "exploration hit a safety cap";
   ReportSchedules("spsc_multi_segment_reuse", r);
-}
-
-// --- MpscQueue: multi-producer delivery ------------------------------------
-
-struct ModelTestNode {
-  ModelMpscNode node;
-  verify::ModelCell<int> value;
-};
-
-TEST(ModelMpscQueueTest, TwoProducersDeliverEverythingPerProducerFifo) {
-  Options opts;
-  opts.max_preemptions = 2;
-  Result r = Explore(opts, [] {
-    ModelMpscQueue queue;
-    // Producer 0 pushes nodes 0,1 (values 0,1); producer 1 pushes node 2
-    // (value 100). Intrusive nodes carry race-checked payload cells.
-    std::array<ModelTestNode, 3> nodes;
-    std::vector<int> popped;
-    Spawn([&] {
-      for (int i = 0; i < 2; ++i) {
-        nodes[i].value.Set(i);
-        queue.Push(&nodes[i].node);
-      }
-    });
-    Spawn([&] {
-      nodes[2].value.Set(100);
-      queue.Push(&nodes[2].node);
-    });
-    Spawn([&] {
-      int empty_polls = 0;
-      while (static_cast<int>(popped.size()) < 3 && empty_polls < 4) {
-        ModelMpscNode* n = queue.Pop();
-        if (n == nullptr) {
-          ++empty_polls;
-          Yield();
-          continue;
-        }
-        for (auto& cand : nodes) {
-          if (&cand.node == n) popped.push_back(cand.value.Get());
-        }
-      }
-    });
-    JoinAll();
-    while (ModelMpscNode* n = queue.Pop()) {
-      for (auto& cand : nodes) {
-        if (&cand.node == n) popped.push_back(cand.value.Get());
-      }
-    }
-    ModelAssert(popped.size() == 3, "element lost or duplicated");
-    // Exactly-once delivery of each value.
-    int seen0 = 0, seen1 = 0, seen100 = 0;
-    size_t pos0 = 0, pos1 = 0;
-    for (size_t i = 0; i < popped.size(); ++i) {
-      if (popped[i] == 0) { ++seen0; pos0 = i; }
-      if (popped[i] == 1) { ++seen1; pos1 = i; }
-      if (popped[i] == 100) ++seen100;
-    }
-    ModelAssert(seen0 == 1 && seen1 == 1 && seen100 == 1,
-                "each pushed value must be delivered exactly once");
-    // FIFO per producer: producer 0's value 0 precedes its value 1.
-    ModelAssert(pos0 < pos1, "per-producer FIFO violated");
-    ModelAssert(queue.empty(), "queue not empty after drain");
-  });
-  EXPECT_TRUE(r.ok) << r.message;
-  EXPECT_TRUE(r.exhausted);
-  EXPECT_GT(r.schedules, 100);
-  ReportSchedules("mpsc_two_producers", r);
 }
 
 // --- EngineMailbox: depth-1 exactly-once hand-off ---------------------------
@@ -669,94 +599,6 @@ TEST(ModelSeededBugTest, RelaxedSegmentHandBackIsCaughtOnReuse) {
               "schedules (clean over %ld schedules without reuse): %s\n",
               r.schedules, fresh.schedules,
               r.message.substr(0, r.message.find('\n')).c_str());
-}
-
-// MpscQueue with the next-pointer publish downgraded to relaxed: the
-// consumer can traverse to a node whose payload write is not yet visible.
-template <typename Policy>
-class RelaxedLinkMpscQueue {
- public:
-  using Node = BasicMpscNode<Policy>;
-
-  RelaxedLinkMpscQueue() : head_(&stub_), tail_(&stub_) {
-    stub_.next.store(nullptr, std::memory_order_relaxed);
-  }
-
-  void Push(Node* node) {
-    node->next.store(nullptr, std::memory_order_relaxed);
-    Node* prev = head_.exchange(node, std::memory_order_acq_rel);
-    prev->next.store(node, std::memory_order_relaxed);  // BUG: no release
-  }
-
-  Node* Pop() {
-    Node* tail = tail_;
-    Node* next = tail->next.load(std::memory_order_acquire);
-    if (tail == &stub_) {
-      if (next == nullptr) return nullptr;
-      tail_ = next;
-      tail = next;
-      next = next->next.load(std::memory_order_acquire);
-    }
-    if (next != nullptr) {
-      tail_ = next;
-      return tail;
-    }
-    Node* head = head_.load(std::memory_order_acquire);
-    if (tail != head) return nullptr;
-    Push(&stub_);
-    next = tail->next.load(std::memory_order_acquire);
-    if (next != nullptr) {
-      tail_ = next;
-      return tail;
-    }
-    return nullptr;
-  }
-
- private:
-  typename Policy::template Atomic<Node*> head_;
-  Node* tail_;
-  Node stub_;
-};
-
-TEST(ModelSeededBugTest, RelaxedNextLinkIsCaught) {
-  // Two nodes matter: popping the *first* of two queued nodes takes the
-  // early next-pointer path, which relies on the (here missing) release on
-  // the link store. A single node is popped via head_'s acq_rel exchange,
-  // which would mask the bug.
-  Options opts;
-  opts.max_preemptions = 2;
-  Result r = Explore(opts, [] {
-    RelaxedLinkMpscQueue<verify::ModelAtomics> queue;
-    std::array<ModelTestNode, 2> nodes;
-    Spawn([&] {
-      for (int i = 0; i < 2; ++i) {
-        nodes[i].value.Set(42 + i);
-        queue.Push(&nodes[i].node);
-      }
-    });
-    Spawn([&] {
-      int empty_polls = 0;
-      while (empty_polls < 6) {
-        ModelMpscNode* n = queue.Pop();
-        if (n != nullptr) {
-          for (auto& cand : nodes) {
-            if (&cand.node == n) {
-              ModelAssert(cand.value.Get() >= 42, "payload not visible");
-            }
-          }
-          return;
-        }
-        ++empty_polls;
-        Yield();
-      }
-    });
-    JoinAll();
-  });
-  EXPECT_FALSE(r.ok) << "checker failed to find the seeded relaxed-link bug";
-  EXPECT_NE(r.message.find("data race"), std::string::npos) << r.message;
-  std::printf("[ model ] seeded mpsc relaxed-link bug found after %ld "
-              "schedules\n",
-              r.schedules);
 }
 
 // --- checker self-tests -----------------------------------------------------

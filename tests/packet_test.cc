@@ -1,5 +1,5 @@
 // Packet-layer tests: CRC32C vectors, wire encode/decode across versions,
-// version negotiation, and the packet pool.
+// version negotiation, and Packet's block and payload-buffer recycling.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,9 +8,8 @@
 #include <vector>
 
 #include "src/packet/crc32.h"
-#include "src/packet/packet_pool.h"
+#include "src/packet/packet.h"
 #include "src/packet/wire.h"
-#include "src/stats/telemetry.h"
 
 namespace snap {
 namespace {
@@ -169,134 +168,118 @@ TEST(WireTest, NegotiationPicksHighestCommon) {
   EXPECT_FALSE(v.ok());  // disjoint
 }
 
-// --- PacketPool -------------------------------------------------------------
+// --- Packet recycling -------------------------------------------------------
 
-TEST(PacketPoolTest, AllocateAndFree) {
-  PacketPool pool(4, "test");
-  PacketPtr p = pool.Allocate();
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(pool.stats().allocated, 1);
-  pool.Free(std::move(p));
-  EXPECT_EQ(pool.stats().allocated, 0);
-  EXPECT_EQ(pool.stats().total_allocs, 1);
+// Every field a recycled packet could leak from its previous life.
+void ExpectSameAsFresh(const Packet& p, const Packet& fresh) {
+  EXPECT_EQ(p.src_host, fresh.src_host);
+  EXPECT_EQ(p.dst_host, fresh.dst_host);
+  EXPECT_EQ(p.steering_hash, fresh.steering_hash);
+  EXPECT_EQ(p.proto, fresh.proto);
+  EXPECT_EQ(p.pony.version, fresh.pony.version);
+  EXPECT_EQ(p.pony.flow_id, fresh.pony.flow_id);
+  EXPECT_EQ(p.pony.seq, fresh.pony.seq);
+  EXPECT_EQ(p.pony.ack, fresh.pony.ack);
+  EXPECT_EQ(p.pony.type, fresh.pony.type);
+  EXPECT_EQ(p.pony.op, fresh.pony.op);
+  EXPECT_EQ(p.pony.op_id, fresh.pony.op_id);
+  EXPECT_EQ(p.pony.stream_id, fresh.pony.stream_id);
+  EXPECT_EQ(p.pony.msg_offset, fresh.pony.msg_offset);
+  EXPECT_EQ(p.pony.msg_length, fresh.pony.msg_length);
+  EXPECT_EQ(p.pony.region_id, fresh.pony.region_id);
+  EXPECT_EQ(p.pony.region_offset, fresh.pony.region_offset);
+  EXPECT_EQ(p.pony.op_length, fresh.pony.op_length);
+  EXPECT_EQ(p.pony.batch, fresh.pony.batch);
+  EXPECT_EQ(p.pony.credit, fresh.pony.credit);
+  EXPECT_EQ(p.pony.status, fresh.pony.status);
+  EXPECT_EQ(p.pony.tx_timestamp, fresh.pony.tx_timestamp);
+  EXPECT_EQ(p.pony.ts_echo, fresh.pony.ts_echo);
+  EXPECT_EQ(p.pony.crc32, fresh.pony.crc32);
+  EXPECT_EQ(p.tcp.conn_id, fresh.tcp.conn_id);
+  EXPECT_EQ(p.tcp.dst_port, fresh.tcp.dst_port);
+  EXPECT_EQ(p.tcp.seq, fresh.tcp.seq);
+  EXPECT_EQ(p.tcp.ack, fresh.tcp.ack);
+  EXPECT_EQ(p.tcp.window, fresh.tcp.window);
+  EXPECT_EQ(p.tcp.syn, fresh.tcp.syn);
+  EXPECT_EQ(p.tcp.fin, fresh.tcp.fin);
+  EXPECT_EQ(p.tcp.is_ack, fresh.tcp.is_ack);
+  EXPECT_EQ(p.virt_src_vm, fresh.virt_src_vm);
+  EXPECT_EQ(p.virt_dst_vm, fresh.virt_dst_vm);
+  EXPECT_EQ(p.payload_bytes, fresh.payload_bytes);
+  EXPECT_TRUE(p.data.empty());
+  EXPECT_EQ(p.wire_bytes, fresh.wire_bytes);
+  EXPECT_EQ(p.enqueue_time, fresh.enqueue_time);
+  EXPECT_EQ(p.rx_time, fresh.rx_time);
+  EXPECT_EQ(p.tenant, fresh.tenant);
+  EXPECT_FALSE(p.chaos_corrupted);
 }
 
-TEST(PacketPoolTest, ExhaustionFailsCleanly) {
-  PacketPool pool(2);
-  PacketPtr a = pool.Allocate();
-  PacketPtr b = pool.Allocate();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(pool.Allocate(), nullptr);
-  EXPECT_EQ(pool.stats().failed_allocs, 1);
-  pool.Free(std::move(a));
-  EXPECT_NE(pool.Allocate(), nullptr);
+// Dirties every field ExpectSameAsFresh checks.
+void Scribble(Packet* p) {
+  p->src_host = 3;
+  p->dst_host = 4;
+  p->steering_hash = 0xDEADBEEF;
+  p->proto = WireProtocol::kTcp;
+  p->pony = MakeHeader(2);
+  p->pony.status = 7;
+  p->pony.crc32 = 0x12345678;
+  p->tcp.conn_id = 9;
+  p->tcp.dst_port = 80;
+  p->tcp.seq = 10;
+  p->tcp.ack = 11;
+  p->tcp.window = 12;
+  p->tcp.syn = true;
+  p->tcp.fin = true;
+  p->tcp.is_ack = true;
+  p->virt_src_vm = 13;
+  p->virt_dst_vm = 14;
+  p->payload_bytes = 5000;
+  p->wire_bytes = 5064;
+  p->enqueue_time = 15;
+  p->rx_time = 16;
+  p->tenant = 17;
+  p->chaos_corrupted = true;
 }
 
-TEST(PacketPoolTest, RecycledPacketsAreClean) {
-  PacketPool pool(2);
-  PacketPtr p = pool.Allocate();
-  p->pony.seq = 999;
-  p->data = {1, 2, 3};
-  p->payload_bytes = 3;
-  pool.Free(std::move(p));
-  PacketPtr q = pool.Allocate();
-  EXPECT_EQ(q->pony.seq, 0u);
-  EXPECT_TRUE(q->data.empty());
-  EXPECT_EQ(q->payload_bytes, 0);
-}
+TEST(PacketTest, RecycledBlockAndPayloadBufferComeBackClean) {
+  // A fresh thread starts with an empty freelist and buffer cache, so
+  // every reuse below is the one this test set up.
+  std::thread worker([] {
+    const Packet fresh;
+    EXPECT_EQ(fresh.data.capacity(), 0u);
 
-TEST(PacketPoolTest, PeakTracksHighWaterMark) {
-  PacketPool pool(10);
-  std::vector<PacketPtr> held;
-  for (int i = 0; i < 7; ++i) {
-    held.push_back(pool.Allocate());
-  }
-  for (auto& p : held) {
-    pool.Free(std::move(p));
-  }
-  EXPECT_EQ(pool.stats().peak_allocated, 7);
-  EXPECT_EQ(pool.stats().allocated, 0);
-}
+    PacketPtr p = std::make_unique<Packet>();
+    Scribble(p.get());
+    p->data.assign(5000, 0xAB);
+    const void* block = p.get();
+    const uint8_t* buffer = p->data.data();
+    p.reset();  // block -> freelist, buffer -> payload cache
 
-TEST(PacketPoolTest, RecyclingPreservesPayloadCapacity) {
-  // Regression for `*p = Packet{}` discarding the recycled data buffer:
-  // a recycled packet must come back with its old capacity intact so the
-  // payload write does not reallocate.
-  PacketPool pool(4);
-  PacketPtr p = pool.Allocate(5000);
-  p->data.assign(5000, 0xAB);
-  const uint8_t* buffer = p->data.data();
-  pool.Free(std::move(p));
-
-  PacketPtr q = pool.Allocate(5000);
-  ASSERT_NE(q, nullptr);
-  EXPECT_TRUE(q->data.empty());          // clean...
-  EXPECT_GE(q->data.capacity(), 5000u);  // ...but capacity retained
-  q->data.assign(5000, 0xCD);
-  EXPECT_EQ(q->data.data(), buffer);  // same heap buffer, no realloc
-  EXPECT_EQ(pool.stats().recycled, 1);
-  EXPECT_EQ(pool.stats().recycled_with_capacity, 1);
-}
-
-TEST(PacketPoolTest, SizeClassesKeepBigAndSmallBuffersApart) {
-  // A stream of ack-sized allocations must not burn through the recycled
-  // 5kB MTU buffers (and vice versa): each class prefers its own list.
-  PacketPool pool(16);
-  PacketPtr big = pool.Allocate(5000);
-  big->data.resize(5000);
-  PacketPtr small = pool.Allocate(64);
-  small->data.resize(64);
-  pool.Free(std::move(big));
-  pool.Free(std::move(small));
-
-  PacketPtr ack = pool.Allocate(64);
-  EXPECT_LT(ack->data.capacity(), 5000u);  // got the small buffer
-  PacketPtr mtu = pool.Allocate(5000);
-  EXPECT_GE(mtu->data.capacity(), 5000u);  // big buffer still available
-  EXPECT_EQ(pool.stats().recycled_with_capacity, 2);
-}
-
-TEST(PacketPoolTest, FallbackCrossesClassesRatherThanAllocatingFresh) {
-  PacketPool pool(4);
-  PacketPtr p = pool.Allocate(64);
-  p->data.resize(64);
-  pool.Free(std::move(p));
-  // Only a small buffer is pooled; a big request still recycles it (the
-  // buffer grows) instead of minting a new Packet.
-  PacketPtr q = pool.Allocate(5000);
-  EXPECT_EQ(pool.stats().recycled, 1);
-  EXPECT_EQ(pool.stats().fresh_allocs, 1);  // just the first Allocate
-  EXPECT_EQ(pool.stats().recycled_with_capacity, 0);
-  EXPECT_GE(q->data.capacity(), 5000u);  // hint pre-reserved
-}
-
-TEST(PacketPoolTest, AdoptOwnerThreadTransfersOwnershipAcrossThreads) {
-  // Regression for the live-mode handoff: a pool built and warmed on the
-  // setup thread is claimed by the engine thread with AdoptOwnerThread.
-  // Without the adopt, the worker's first Allocate would trip the
-  // single-owner assert in debug builds.
-  PacketPool pool(4, "handoff");
-  PacketPtr warm = pool.Allocate(5000);
-  warm->data.resize(5000);
-  pool.Free(std::move(warm));  // main thread is the owner now
-
-  std::thread worker([&pool] {
-    pool.AdoptOwnerThread();
-    PacketPtr p = pool.Allocate(5000);
-    ASSERT_NE(p, nullptr);
-    EXPECT_GE(p->data.capacity(), 5000u);  // got the warmed buffer
-    pool.Free(std::move(p));
+    PacketPtr q = std::make_unique<Packet>();
+    EXPECT_EQ(static_cast<const void*>(q.get()), block);
+    ExpectSameAsFresh(*q, fresh);
+    // The cached buffer keeps its capacity, so refilling it does not
+    // reallocate.
+    EXPECT_GE(q->data.capacity(), 5000u);
+    q->data.assign(5000, 0xCD);
+    EXPECT_EQ(q->data.data(), buffer);
   });
   worker.join();
+}
 
-  // The transfer is explicit each way: the main thread re-adopts before
-  // touching the pool again.
-  pool.AdoptOwnerThread();
-  PacketPtr p = pool.Allocate();
-  EXPECT_NE(p, nullptr);
-  pool.Free(std::move(p));
-  EXPECT_EQ(pool.stats().allocated, 0);
+TEST(PacketTest, JumboPayloadBufferIsNotCached) {
+  // Buffers above the cache's 64 KB per-buffer cap go back to the heap,
+  // so one jumbo payload cannot pin its memory in the cache.
+  std::thread worker([] {
+    PacketPtr p = std::make_unique<Packet>();
+    p->data.assign(64 * 1024 + 1, 0xAB);
+    p.reset();
+
+    PacketPtr q = std::make_unique<Packet>();
+    EXPECT_TRUE(q->data.empty());
+    EXPECT_EQ(q->data.capacity(), 0u);
+  });
+  worker.join();
 }
 
 TEST(PacketTest, ExitingThreadReleasesItsFreelist) {
@@ -313,35 +296,6 @@ TEST(PacketTest, ExitingThreadReleasesItsFreelist) {
     EXPECT_NE(reused, nullptr);
   });
   worker.join();
-}
-
-TEST(PacketPoolTest, ClassForSizeBoundaries) {
-  EXPECT_EQ(PacketPool::ClassForSize(0), 0);
-  EXPECT_EQ(PacketPool::ClassForSize(1), 1);
-  EXPECT_EQ(PacketPool::ClassForSize(128), 1);
-  EXPECT_EQ(PacketPool::ClassForSize(129), 2);
-  EXPECT_EQ(PacketPool::ClassForSize(2048), 2);
-  EXPECT_EQ(PacketPool::ClassForSize(2049), 3);
-  EXPECT_EQ(PacketPool::ClassForSize(5000), 3);
-}
-
-TEST(PacketPoolTest, ExportStatsPublishesCounters) {
-  Telemetry telemetry;
-  PacketPool pool(4, "engine0");
-  PacketPtr p = pool.Allocate(100);
-  p->data.resize(100);
-  pool.Free(std::move(p));
-  pool.Allocate(100);
-  pool.ExportStats(&telemetry, "snap/engine0/pool");
-  auto snap = telemetry.SnapshotValues();
-  EXPECT_EQ(snap["snap/engine0/pool/total_allocs"], 2);
-  EXPECT_EQ(snap["snap/engine0/pool/recycled"], 1);
-  EXPECT_EQ(snap["snap/engine0/pool/recycled_with_capacity"], 1);
-  EXPECT_EQ(snap["snap/engine0/pool/allocated"], 1);
-  // Re-export publishes absolute values, not deltas.
-  pool.ExportStats(&telemetry, "snap/engine0/pool");
-  snap = telemetry.SnapshotValues();
-  EXPECT_EQ(snap["snap/engine0/pool/total_allocs"], 2);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/queue/mailbox.h"
-#include "src/queue/mpsc_queue.h"
 #include "src/queue/spsc_ring.h"
 
 namespace snap {
@@ -423,69 +422,6 @@ TEST(MailboxTest, HighVolumePosterStress) {
   stop.store(true, std::memory_order_release);
   engine.join();
   EXPECT_EQ(executed.load(), int64_t{kPerThread} * kThreads);
-}
-
-// --- MpscQueue ------------------------------------------------------------
-
-struct TestNode {
-  MpscNode node;
-  int value = 0;
-};
-
-TEST(MpscQueueTest, PushPopSingleThread) {
-  MpscQueue queue;
-  EXPECT_TRUE(queue.empty());
-  TestNode a;
-  a.value = 1;
-  TestNode b;
-  b.value = 2;
-  queue.Push(&a.node);
-  queue.Push(&b.node);
-  EXPECT_FALSE(queue.empty());
-  EXPECT_EQ(queue.Pop(), &a.node);
-  EXPECT_EQ(queue.Pop(), &b.node);
-  EXPECT_EQ(queue.Pop(), nullptr);
-}
-
-TEST(MpscQueueTest, MultiProducerDeliversEverything) {
-  MpscQueue queue;
-  constexpr int kPerThread = 2000;
-  constexpr int kThreads = 4;
-  // Nodes contain atomics (non-movable): allocate in place.
-  std::vector<std::vector<std::unique_ptr<TestNode>>> nodes(kThreads);
-  for (auto& v : nodes) {
-    for (int i = 0; i < kPerThread; ++i) {
-      v.push_back(std::make_unique<TestNode>());
-    }
-  }
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&queue, &nodes, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        nodes[t][i]->value = t * kPerThread + i;
-        queue.Push(&nodes[t][i]->node);
-      }
-    });
-  }
-  int popped = 0;
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    while (popped < kPerThread * kThreads) {
-      if (queue.Pop() != nullptr) {
-        ++popped;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    done = true;
-  });
-  for (auto& t : producers) {
-    t.join();
-  }
-  consumer.join();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(popped, kPerThread * kThreads);
-  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

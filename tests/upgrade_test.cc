@@ -120,7 +120,12 @@ TEST_F(UpgradeTest, InFlightTrafficRecoversAcrossBlackout) {
   bool done = false;
   manager.StartUpgrade(a_->snap(), v2.get(),
                        [&](const auto&) { done = true; });
-  sim_->RunFor(1000 * kMsec);
+  // Step until the upgrade reports done (the blackout floor is tens of
+  // ms), bounded by one simulated second.
+  const SimTime deadline = sim_->now() + 1000 * kMsec;
+  while (!done && sim_->now() < deadline) {
+    sim_->RunFor(1 * kMsec);
+  }
   ASSERT_TRUE(done);
 
   // Traffic resumed after the blackout: whatever was sent eventually

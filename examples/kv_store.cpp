@@ -97,8 +97,8 @@ int main() {
         reinterpret_cast<const char*>(completion->data.data()));
   };
 
-  for (const std::string& key : {"snap", "pony", "timely"}) {
-    std::printf("GET %-7s -> %s\n", key.c_str(), get(key).c_str());
+  for (const char* key : {"snap", "pony", "timely"}) {
+    std::printf("GET %-7s -> %s\n", key, get(key).c_str());
   }
 
   // Batched multi-GET: adjacent buckets in one operation (the production

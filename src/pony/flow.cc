@@ -24,6 +24,92 @@ constexpr int kDupAckThreshold = 3;
 // Ceiling on the backed-off retransmission timeout (RFC 6298 5.5).
 constexpr SimDuration kMaxRto = 64 * kMsec;
 
+// Fragments a queued record sends, itself included.
+uint32_t QueuedFragments(const TxRecord& r) {
+  if (!r.HasMoreFragments()) {
+    return 1;
+  }
+  int64_t left = int64_t{r.header.msg_length} - r.header.msg_offset;
+  return static_cast<uint32_t>((left + r.payload_bytes - 1) /
+                               r.payload_bytes);
+}
+
+// True if `next` is the fragment that a record queued for the message of
+// `first` would cut after `prev` (Flow::Serialize writes such runs).
+bool ContinuesRun(const TxRecord& first, const TxRecord& prev,
+                  const TxRecord& next) {
+  const PonyHeader& a = first.header;
+  const PonyHeader& b = next.header;
+  int64_t offset = int64_t{prev.header.msg_offset} + prev.payload_bytes;
+  return a.type == PonyPacketType::kData && b.type == a.type &&
+         b.op == a.op && b.op_id == a.op_id && b.stream_id == a.stream_id &&
+         b.msg_length == a.msg_length && b.region_id == a.region_id &&
+         b.region_offset == a.region_offset && b.op_length == a.op_length &&
+         b.batch == a.batch && b.status == a.status &&
+         next.uses_credit == first.uses_credit && first.payload_bytes > 0 &&
+         prev.payload_bytes == first.payload_bytes && b.msg_offset == offset &&
+         offset < a.msg_length &&
+         next.payload_bytes ==
+             std::min<int64_t>(first.payload_bytes, a.msg_length - offset);
+}
+
+// Queues a run of fragments (see ContinuesRun) as the one record that cuts
+// them. A run that stops short of its message's end, or whose real bytes do
+// not fill each fragment up to the last that has any, cannot be cut from
+// one record and queues fragment by fragment.
+void QueueRun(Flow* flow, std::vector<TxRecord>* run) {
+  if (run->empty()) {
+    return;
+  }
+  const TxRecord& tail = run->back();
+  bool foldable = run->size() > 1 &&
+                  int64_t{tail.header.msg_offset} + tail.payload_bytes ==
+                      tail.header.msg_length;
+  // Real bytes past the first fragment move into a shared body, which each
+  // cut fragment clips: every fragment before the last one holding real
+  // bytes must be real to its end.
+  size_t last_real = 0;
+  for (size_t i = 1; i < run->size(); ++i) {
+    if (!(*run)[i].data.empty()) {
+      last_real = i;
+    }
+  }
+  for (size_t i = 0; foldable && i <= last_real && last_real > 0; ++i) {
+    const TxRecord& f = (*run)[i];
+    size_t payload = static_cast<size_t>(f.payload_bytes);
+    foldable = i < last_real ? f.data.size() == payload
+                             : f.data.size() <= payload;
+  }
+  if (!foldable) {
+    for (TxRecord& f : *run) {
+      flow->QueueTx(std::move(f));
+    }
+    run->clear();
+    return;
+  }
+  TxRecord rec = std::move(run->front());
+  rec.rest_of_message = true;
+  if (last_real > 0) {
+    // Bytes before the run's first fragment were sent already and are
+    // never read again; they stay zero.
+    const TxRecord& last = (*run)[last_real];
+    auto body = std::make_shared<std::vector<uint8_t>>(
+        last.header.msg_offset + last.data.size());
+    auto place = [&body](const TxRecord& f) {
+      std::copy(f.data.begin(), f.data.end(),
+                body->begin() + f.header.msg_offset);
+    };
+    place(rec);
+    for (size_t i = 1; i < run->size(); ++i) {
+      place((*run)[i]);
+    }
+    rec.data.clear();
+    rec.body = std::move(body);
+  }
+  flow->QueueTx(std::move(rec));
+  run->clear();
+}
+
 }  // namespace
 
 Flow::Flow(FlowKey key, int local_host, uint32_t local_engine,
@@ -36,6 +122,19 @@ Flow::Flow(FlowKey key, int local_host, uint32_t local_engine,
       params_(pony_params),
       timely_(timely_params),
       credit_(kInitialCreditBytes) {}
+
+TxRecord TxRecord::CutFragment() {
+  TxRecord fragment;
+  fragment.header = header;
+  fragment.payload_bytes = payload_bytes;
+  fragment.uses_credit = uses_credit;
+  fragment.body = body;
+  fragment.data.swap(data);  // only the next fragment carries `data`
+  header.msg_offset += static_cast<uint32_t>(payload_bytes);
+  payload_bytes = static_cast<int32_t>(std::min<int64_t>(
+      payload_bytes, int64_t{header.msg_length} - header.msg_offset));
+  return fragment;
+}
 
 void Flow::QueueTx(TxRecord record) {
   if (record.uses_credit) {
@@ -92,7 +191,11 @@ TxRecord Flow::PopNextRecord() {
   bool take_op = op_ready && (!msg_ready || prefer_op_);
   prefer_op_ = !prefer_op_;
   if (take_op) {
-    TxRecord record = std::move(op_queue_.front());
+    TxRecord& head = op_queue_.front();
+    if (head.HasMoreFragments()) {
+      return head.CutFragment();
+    }
+    TxRecord record = std::move(head);
     op_queue_.pop_front();
     return record;
   }
@@ -108,9 +211,13 @@ TxRecord Flow::PopNextRecord() {
   MsgQueueEntry* entry = msg_rr_.front();
   msg_rr_.pop_front();
   uint64_t stream = entry->first;
-  TxRecord record = std::move(entry->second.front());
-  entry->second.pop_front();
-  --msg_backlog_;
+  TxRecord& head = entry->second.front();
+  bool last = !head.HasMoreFragments();
+  TxRecord record = last ? TxRecord(std::move(head)) : head.CutFragment();
+  if (last) {
+    entry->second.pop_front();
+    --msg_backlog_;
+  }
   // Credit reservation bookkeeping.
   if (started_streams_.count(stream) == 0) {
     started_streams_.insert(stream);
@@ -540,14 +647,32 @@ void Flow::Serialize(StateWriter* w) const {
     w->PutU64(seq);
     put_record(u.record);
   }
-  w->PutU32(static_cast<uint32_t>(msg_backlog_ + op_queue_.size()));
+  // A queued message is written as the fragments it would cut, so the
+  // codec's bytes do not depend on how the queue holds it.
+  auto put_queued = [&put_record](const TxRecord& r) {
+    TxRecord rest = r;
+    while (rest.HasMoreFragments()) {
+      put_record(rest.CutFragment());
+    }
+    put_record(rest);
+  };
+  uint32_t n_queued = 0;
   for (const auto& [stream, queue] : msg_queues_) {
     for (const TxRecord& r : queue) {
-      put_record(r);
+      n_queued += QueuedFragments(r);
     }
   }
   for (const TxRecord& r : op_queue_) {
-    put_record(r);
+    n_queued += QueuedFragments(r);
+  }
+  w->PutU32(n_queued);
+  for (const auto& [stream, queue] : msg_queues_) {
+    for (const TxRecord& r : queue) {
+      put_queued(r);
+    }
+  }
+  for (const TxRecord& r : op_queue_) {
+    put_queued(r);
   }
 }
 
@@ -600,10 +725,18 @@ Flow Flow::Deserialize(StateReader* r, int local_host, uint32_t local_engine,
     flow.unacked_[seq] = Unacked{get_record(), 0};
     flow.retx_queue_.push_back(seq);
   }
+  // Each run of fragments that a queued message would cut folds back into
+  // that one record.
   uint32_t n_queued = r->GetU32();
+  std::vector<TxRecord> run;
   for (uint32_t i = 0; i < n_queued; ++i) {
-    flow.QueueTx(get_record());
+    TxRecord rec = get_record();
+    if (!run.empty() && !ContinuesRun(run.front(), run.back(), rec)) {
+      QueueRun(&flow, &run);
+    }
+    run.push_back(std::move(rec));
   }
+  QueueRun(&flow, &run);
   flow.RebuildCreditReservations();
   flow.RecomputeInert();
   return flow;

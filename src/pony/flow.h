@@ -48,13 +48,20 @@ struct FlowKey {
 };
 
 // A packet queued for (re)transmission; headers are completed (seq, ack,
-// timestamps) when the packet goes on the wire.
+// timestamps) when the packet goes on the wire. A queued record is the next
+// fragment of its message, [msg_offset, msg_offset + payload_bytes); with
+// `rest_of_message` set it also stands for the rest of the message, which
+// the flow cuts into further fragments of the same size when it may send
+// them (the engine queues each message once, not once per MTU packet).
 struct TxRecord {
   PonyHeader header;
   int32_t payload_bytes = 0;
   bool uses_credit = false;  // two-sided message fragments
+  bool rest_of_message = false;
+  // The real payload of the next fragment; a later fragment cut from this
+  // record carries none (real bytes beyond one fragment live in `body`).
   std::vector<uint8_t> data;
-  // Zero-copy message fragment (Section 6.2): when set, the real payload is
+  // Zero-copy message body (Section 6.2): when set, the real payload is
   // this fragment's part of the message body that every fragment shares —
   // bytes [msg_offset, msg_offset + payload_bytes), clipped to the body —
   // and `data` is unused. (Fields are ordered to keep the record within
@@ -70,6 +77,15 @@ struct TxRecord {
     size_t end = std::min<size_t>(begin + payload_bytes, body->size());
     return {body->data() + begin, end - begin};
   }
+
+  // True while the record stands for more than its next fragment.
+  bool HasMoreFragments() const {
+    return rest_of_message && payload_bytes > 0 &&
+           int64_t{header.msg_offset} + payload_bytes < header.msg_length;
+  }
+  // Cuts the next fragment off a record with HasMoreFragments() and
+  // advances the record to the fragment after it.
+  TxRecord CutFragment();
 
   // One record is built per transmitted fragment; recycling `data`'s
   // buffer through the shared payload cache (see packet.h) keeps record
@@ -106,10 +122,14 @@ class Flow {
 
   // --- Transmit side ---
   // Message data (uses_credit) queues per stream and is serviced
-  // round-robin so one large message cannot head-of-line block others
-  // (Section 3.3's stream semantics); one-sided ops queue separately and
-  // bypass credit flow control entirely.
+  // round-robin, one fragment per turn, so one large message cannot
+  // head-of-line block others (Section 3.3's stream semantics); one-sided
+  // ops and uncredited messages queue separately and bypass credit flow
+  // control entirely. A record with rest_of_message leaves its queue only
+  // once its last fragment is cut.
   void QueueTx(TxRecord record);
+  // Queued records (a queued message counts once, however many fragments
+  // it has left) plus pending retransmissions.
   size_t tx_backlog() const {
     return msg_backlog_ + op_queue_.size() + retx_queue_.size();
   }
@@ -232,7 +252,8 @@ class Flow {
       const std::pair<const uint64_t, std::deque<TxRecord>>* entry) const;
   // Rebuilds started/reserved bookkeeping from queue contents (restore).
   void RebuildCreditReservations();
-  // Pops the next sendable record (stream round-robin vs op alternation).
+  // Takes the next sendable fragment (stream round-robin vs op
+  // alternation), cutting it off its queued message.
   TxRecord PopNextRecord();
   bool AnythingSendable() const;
   uint64_t WireFlowId() const {
@@ -278,8 +299,8 @@ class Flow {
   TimelyController timely_;
 
   // TX.
-  // Credit-gated message fragments, one queue per stream, serviced in
-  // round-robin order (msg_rr_ holds pointers to the active map entries —
+  // Credit-gated messages, one queue per stream, serviced one fragment at
+  // a time in round-robin order (msg_rr_ holds pointers to the active map entries —
   // map nodes are address-stable and never erased, so the rotation and the
   // eligibility scans touch no map lookups). Starting a message RESERVES
   // its full length against the credit pool, so every in-progress message
@@ -292,8 +313,9 @@ class Flow {
   std::deque<MsgQueueEntry*> msg_rr_;
   std::set<uint64_t> started_streams_;  // head message mid-transmission
   int64_t reserved_ = 0;  // unsent bytes of started messages
-  size_t msg_backlog_ = 0;
-  std::deque<TxRecord> op_queue_;   // one-sided ops, acks-with-payload
+  size_t msg_backlog_ = 0;  // records across msg_queues_
+  // One-sided ops, their replies, and uncredited (large) messages.
+  std::deque<TxRecord> op_queue_;
   bool prefer_op_ = false;          // alternation when both are ready
   mutable bool msg_ready_cache_ = false;   // see MarkMsgReadyDirty()
   mutable bool msg_ready_dirty_ = true;

@@ -684,50 +684,38 @@ void PonyEngine::HandleCommand(PonyClient* client, PonyCommand cmd,
   switch (cmd.type) {
     case PonyCommandType::kSendMessage: {
       TraceMessagePoint(sim_, 's', cmd.op_id, "app_enqueue");
-      // Fragment the message across MTU-sized packets; all fragments share
-      // the op id for reassembly. TX is zero-copy (Section 6.2).
+      // One record stands for the whole message; the flow cuts it into
+      // MTU-sized fragments, all sharing the op id for reassembly, as it
+      // sends them. TX is zero-copy (Section 6.2).
       int64_t length = std::max<int64_t>(
           cmd.length, static_cast<int64_t>(cmd.data.size()));
       if (length == 0) {
         length = 1;  // zero-length messages still occupy one packet
       }
+      TxRecord rec;
+      rec.header.type = PonyPacketType::kData;
+      rec.header.op_id = cmd.op_id;
+      rec.header.stream_id = cmd.stream_id;
+      rec.header.msg_length = static_cast<uint32_t>(length);
+      rec.payload_bytes =
+          static_cast<int32_t>(std::min<int64_t>(params_.mtu_payload, length));
       // Small messages draw on the credit-managed shared pool; large ones
       // use receiver-driven buffer posting and bypass credits.
-      bool uses_credit = length <= params_.credit_message_threshold;
+      rec.uses_credit = length <= params_.credit_message_threshold;
+      rec.rest_of_message = true;
       // A multi-fragment body is shared, not copied: every fragment
       // references the one command buffer, which is freed when the last
-      // fragment is acked rather than here. A single fragment copies into
-      // its record's recycled buffer instead.
-      int64_t body_bytes = static_cast<int64_t>(cmd.data.size());
-      std::shared_ptr<const std::vector<uint8_t>> body;
-      if (body_bytes > params_.mtu_payload) {
-        body = std::make_shared<const std::vector<uint8_t>>(
+      // fragment is acked rather than here. A body that fits one fragment
+      // copies into the record's recycled buffer instead. Real payload
+      // bytes may cover only a prefix of the (synthetic) message length —
+      // e.g. an RPC header riding a larger request.
+      if (static_cast<int64_t>(cmd.data.size()) > params_.mtu_payload) {
+        rec.body = std::make_shared<const std::vector<uint8_t>>(
             std::move(cmd.data));
+      } else {
+        rec.data.assign(cmd.data.begin(), cmd.data.end());
       }
-      int64_t offset = 0;
-      while (offset < length) {
-        int64_t chunk =
-            std::min<int64_t>(params_.mtu_payload, length - offset);
-        TxRecord rec;
-        rec.header.type = PonyPacketType::kData;
-        rec.header.op_id = cmd.op_id;
-        rec.header.stream_id = cmd.stream_id;
-        rec.header.msg_offset = static_cast<uint32_t>(offset);
-        rec.header.msg_length = static_cast<uint32_t>(length);
-        rec.payload_bytes = static_cast<int32_t>(chunk);
-        rec.uses_credit = uses_credit;
-        // Real payload bytes may cover only a prefix of the (synthetic)
-        // message length — e.g. an RPC header riding a larger request.
-        if (body != nullptr) {
-          rec.body = body;  // bytes() clips to the real payload prefix
-        } else if (offset < body_bytes) {
-          int64_t data_end = std::min<int64_t>(body_bytes, offset + chunk);
-          rec.data.assign(cmd.data.begin() + offset,
-                          cmd.data.begin() + data_end);
-        }
-        flow.QueueTx(std::move(rec));
-        offset += chunk;
-      }
+      flow.QueueTx(std::move(rec));
       // The send completes when every fragment has been acked (reliable
       // delivery), throttling applications to transport progress.
       SendOp op;

@@ -3,6 +3,11 @@
 // engines or a fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "src/pony/flow.h"
 
 namespace snap {
@@ -496,6 +501,249 @@ TEST_F(FlowTest, SerializeDeserializeRoundTrip) {
   EXPECT_TRUE(rx.duplicate);
   rx = restored.OnReceive(PeerPacket(2, 0), kSec);
   EXPECT_TRUE(rx.deliver);
+}
+
+// --- Messages queued whole, fragments cut at send time ---------------------
+
+// Deterministic, non-periodic payload bytes: a fragment placed at the wrong
+// offset shows as different bytes.
+std::vector<uint8_t> Pattern(size_t n, uint32_t seed) {
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t x = static_cast<uint32_t>(i) * 2654435761u + seed;
+    out[i] = static_cast<uint8_t>(x >> 24);
+  }
+  return out;
+}
+
+struct MessageSpec {
+  uint64_t op_id = 0;
+  uint64_t stream = 0;
+  uint32_t length = 0;
+  bool credit = false;
+  std::vector<uint8_t> real;  // real bytes: a prefix of the message
+};
+
+// Queues a message the way the engine does: one record that is the first
+// fragment and stands for the rest.
+void QueueWhole(Flow& flow, const PonyParams& params,
+                const MessageSpec& m) {
+  TxRecord rec;
+  rec.header.type = PonyPacketType::kData;
+  rec.header.op_id = m.op_id;
+  rec.header.stream_id = m.stream;
+  rec.header.msg_length = m.length;
+  rec.payload_bytes = std::min<int32_t>(params.mtu_payload, m.length);
+  rec.uses_credit = m.credit;
+  rec.rest_of_message = true;
+  if (m.real.size() > static_cast<size_t>(params.mtu_payload)) {
+    rec.body = std::make_shared<const std::vector<uint8_t>>(m.real);
+  } else {
+    rec.data = m.real;
+  }
+  flow.QueueTx(std::move(rec));
+}
+
+// Queues the same message as one record per MTU fragment, each holding its
+// own header and its share of the real bytes.
+void QueueFragments(Flow& flow, const PonyParams& params,
+                    const MessageSpec& m) {
+  std::shared_ptr<const std::vector<uint8_t>> body;
+  if (m.real.size() > static_cast<size_t>(params.mtu_payload)) {
+    body = std::make_shared<const std::vector<uint8_t>>(m.real);
+  }
+  for (uint32_t offset = 0; offset < m.length;) {
+    uint32_t chunk =
+        std::min<uint32_t>(params.mtu_payload, m.length - offset);
+    TxRecord rec;
+    rec.header.type = PonyPacketType::kData;
+    rec.header.op_id = m.op_id;
+    rec.header.stream_id = m.stream;
+    rec.header.msg_offset = offset;
+    rec.header.msg_length = m.length;
+    rec.payload_bytes = static_cast<int32_t>(chunk);
+    rec.uses_credit = m.credit;
+    if (body != nullptr) {
+      rec.body = body;
+    } else if (offset < m.real.size()) {
+      rec.data.assign(
+          m.real.begin() + offset,
+          m.real.begin() + std::min<size_t>(m.real.size(), offset + chunk));
+    }
+    flow.QueueTx(std::move(rec));
+    offset += chunk;
+  }
+}
+
+TxRecord OneSidedRead(uint64_t op_id) {
+  TxRecord rec;
+  rec.header.type = PonyPacketType::kOpRequest;
+  rec.header.op = PonyOpCode::kRead;
+  rec.header.op_id = op_id;
+  rec.header.region_id = 3;
+  rec.header.op_length = 4096;
+  return rec;
+}
+
+struct WirePacket {
+  PonyPacketType type;
+  uint64_t stream_id;
+  uint64_t op_id;
+  uint64_t seq;
+  uint32_t msg_offset;
+  int32_t payload_bytes;
+  std::vector<uint8_t> bytes;
+  bool operator==(const WirePacket&) const = default;
+};
+
+// Builds packets one millisecond apart (so pacing never holds one back)
+// until the flow has nothing left to send.
+std::vector<WirePacket> Drain(Flow& flow, SimTime start) {
+  std::vector<WirePacket> out;
+  for (SimTime now = start;; now += kMsec) {
+    PacketPtr p = flow.BuildNextPacket(now);
+    if (p == nullptr) {
+      return out;
+    }
+    out.push_back({p->pony.type, p->pony.stream_id, p->pony.op_id,
+                   p->pony.seq, p->pony.msg_offset, p->payload_bytes,
+                   p->data});
+  }
+}
+
+void ExpectSameWire(const std::vector<WirePacket>& a,
+                    const std::vector<WirePacket>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i] == b[i])) {
+      ADD_FAILURE() << "first difference at packet " << i << " (op "
+                    << a[i].op_id << " offset " << a[i].msg_offset
+                    << " vs op " << b[i].op_id << " offset "
+                    << b[i].msg_offset << ")";
+      return;
+    }
+  }
+}
+
+// A message queued as one record goes out as exactly the packets, in
+// exactly the order, of the same message queued fragment by fragment:
+// stream round-robin and op/message alternation see one fragment per turn
+// either way.
+TEST_F(FlowTest, MessagesCutAtSendTimeKeepTheWireOrder) {
+  const std::vector<MessageSpec> messages = {
+      {/*op_id=*/1, /*stream=*/0, 1u << 20, /*credit=*/false,
+       Pattern(5000, 1)},
+      {2, 1, 64 * 1024, true, Pattern(300, 2)},
+      {3, 2, 64 * 1024, true, Pattern(64 * 1024, 3)},
+  };
+  Flow whole(key_, 0, 5, 2, TimelyParams{}, &params_);
+  Flow fragments(key_, 0, 5, 2, TimelyParams{}, &params_);
+  QueueWhole(whole, params_, messages[0]);
+  // A 1 MB message is one queued record, not 529.
+  EXPECT_EQ(whole.tx_backlog(), 1u);
+  for (size_t i = 1; i < messages.size(); ++i) {
+    QueueWhole(whole, params_, messages[i]);
+  }
+  for (const MessageSpec& m : messages) {
+    QueueFragments(fragments, params_, m);
+  }
+  whole.QueueTx(OneSidedRead(4));
+  fragments.QueueTx(OneSidedRead(4));
+  EXPECT_EQ(whole.tx_backlog(), 4u);
+  EXPECT_EQ(fragments.tx_backlog(), 529u + 34u + 34u + 1u);
+
+  std::vector<WirePacket> wire = Drain(whole, 0);
+  EXPECT_EQ(wire.size(), 529u + 34u + 34u + 1u);
+  ExpectSameWire(wire, Drain(fragments, 0));
+  EXPECT_EQ(whole.tx_backlog(), 0u);
+}
+
+// The upgrade codec writes a queued message as the fragments it would cut,
+// so its bytes are those of a flow that queued one record per fragment;
+// the restored flow folds each run back into one record and sends the same
+// packets as the flow that was never serialized.
+TEST_F(FlowTest, QueuedMessageSerializesAsItsFragments) {
+  const MessageSpec credit_message = {21, 7, 1u << 20, true,
+                                      Pattern(700000, 1)};
+  const MessageSpec op_message = {22, 8, 300000, false, Pattern(100, 2)};
+  auto build = [this, &credit_message, &op_message](Flow& flow, auto queue) {
+    queue(flow, params_, credit_message);
+    for (int i = 0; i < 264; ++i) {  // half of the 529 fragments
+      ASSERT_NE(flow.BuildNextPacket(i * kMsec), nullptr);
+    }
+    queue(flow, params_, op_message);
+  };
+  Flow whole(key_, 0, 5, 2, TimelyParams{}, &params_);
+  Flow fragments(key_, 0, 5, 2, TimelyParams{}, &params_);
+  build(whole, QueueWhole);
+  build(fragments, QueueFragments);
+  EXPECT_EQ(whole.tx_backlog(), 2u);
+  EXPECT_EQ(fragments.tx_backlog(), 265u + 152u);
+
+  StateWriter w;
+  whole.Serialize(&w);
+  StateWriter w_fragments;
+  fragments.Serialize(&w_fragments);
+  EXPECT_EQ(w.buffer(), w_fragments.buffer());
+  // Golden: the same state queued fragment by fragment, serialized by the
+  // codec before messages were cut at send time.
+  uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
+  for (uint8_t b : w.buffer()) {
+    hash = (hash ^ b) * 1099511628211ull;
+  }
+  EXPECT_EQ(w.size_bytes(), 755023u);
+  EXPECT_EQ(hash, 0x1432c88a59c371f5ull);
+
+  StateReader r(w.buffer());
+  Flow restored = Flow::Deserialize(&r, 0, 5, TimelyParams{}, &params_);
+  EXPECT_TRUE(r.AtEnd());
+  // 264 retransmissions plus the two folded messages.
+  EXPECT_EQ(restored.retx_queue_size(), 264u);
+  EXPECT_EQ(restored.tx_backlog(), 264u + 2u);
+  StateWriter w_restored;
+  restored.Serialize(&w_restored);
+  EXPECT_EQ(w_restored.buffer(), w.buffer());
+
+  std::vector<WirePacket> sent = Drain(restored, kSec);
+  ASSERT_GE(sent.size(), 264u);
+  for (size_t i = 0; i < 264; ++i) {
+    EXPECT_EQ(sent[i].seq, i + 1);  // in-flight packets go again first
+  }
+  sent.erase(sent.begin(), sent.begin() + 264);
+  std::vector<WirePacket> expected = Drain(whole, kSec);
+  EXPECT_EQ(expected.size(), 265u + 152u);
+  ExpectSameWire(sent, expected);
+}
+
+// Fragments queued by hand that do not reach their message's end stand
+// only for themselves: restore must not fold them into a record that cuts
+// the rest.
+TEST_F(FlowTest, PartialFragmentRunRestoresAsQueued) {
+  std::vector<uint8_t> real = Pattern(3000, 5);
+  for (uint32_t offset : {0u, 1984u}) {
+    TxRecord rec;
+    rec.header.type = PonyPacketType::kData;
+    rec.header.op_id = 9;
+    rec.header.msg_offset = offset;
+    rec.header.msg_length = 10000;
+    rec.payload_bytes = params_.mtu_payload;
+    rec.uses_credit = true;
+    rec.data.assign(real.begin() + offset,
+                    real.begin() + std::min<size_t>(real.size(),
+                                                    offset + 1984));
+    flow_.QueueTx(std::move(rec));
+  }
+  StateWriter w;
+  flow_.Serialize(&w);
+  StateReader r(w.buffer());
+  Flow restored = Flow::Deserialize(&r, 0, 5, TimelyParams{}, &params_);
+  EXPECT_EQ(restored.tx_backlog(), 2u);
+  StateWriter w_restored;
+  restored.Serialize(&w_restored);
+  EXPECT_EQ(w_restored.buffer(), w.buffer());
+  std::vector<WirePacket> sent = Drain(restored, 0);
+  EXPECT_EQ(sent.size(), 2u);
+  ExpectSameWire(sent, Drain(flow_, 0));
 }
 
 }  // namespace
